@@ -83,8 +83,8 @@ def g(x):
 
 def g_inverse(t):
     """Inverse of g on [0, inf) by bracketed bisection with geometric expansion."""
-    if t < 0:
-        raise DomainError("g_inverse is defined for t >= 0")
+    if not 0 <= t < math.inf:
+        raise DomainError("g_inverse is defined for finite t >= 0")
     if t == 0.0:
         return 0.0
     hi = 1.0
@@ -106,8 +106,8 @@ def psi(theta):
     Positive for every finite theta > 0 and decreasing, with limit log 2
     at theta -> 0+.
     """
-    if theta <= 0:
-        raise DomainError("psi requires theta > 0")
+    if not 0 < theta < math.inf:
+        raise DomainError("psi requires finite theta > 0")
     xi = g_inverse(theta)
     _, cdf = std_normal(xi)
     return xi * xi / (2.0 * theta) - math.log(cdf)

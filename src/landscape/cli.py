@@ -9,6 +9,7 @@ JSON document, plot-ready tables to CSV, both written atomically
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -38,7 +39,7 @@ from .errors import (
     ZeroVector,
 )
 from .linalg import numerical_rank
-from .network import Dataset, activation_slopes, khatri_rao, mce, mse
+from .network import Dataset, activation_slopes, evaluate, khatri_rao, mean_square, misclassified
 from .stationarity import rank_condition_oracle
 
 EXIT_OK = 0
@@ -64,6 +65,7 @@ _NUMERICAL_ERRORS = (
     DegenerateInput,
     ZeroVector,
     ZeroColumn,
+    np.linalg.LinAlgError,
 )
 
 
@@ -150,6 +152,8 @@ def load_dataset_csv(path):
             values = [float(f) for f in fields]
         except ValueError:
             raise DatasetFormatError(f"line {lineno}: non-numeric field") from None
+        if not all(map(math.isfinite, values)):
+            raise DatasetFormatError(f"line {lineno}: non-finite field")
         label = values[-1]
         if label not in (0.0, 1.0):
             raise LabelDomainError(f"line {lineno}: label must be 0 or 1, got {fields[-1]}")
@@ -232,15 +236,15 @@ def cmd_construct(args):
         target_d1=args.target_d1, seed=args.seed,
     )
     params = built.params
+    P, _, _, yhat = evaluate(params.W, params.z, params.rho, data.X)
     outputs = {
         "d1_star": built.d1_star,
         "blocks": len(built.blocks),
         "eps": [[b.eps1, b.eps2] for b in built.blocks],
-        "mse": mse(params, data),
-        "mce": mce(params, data),
+        "mse": mean_square(data.y - yhat),
+        "mce": misclassified(data.y, yhat),
     }
     if params.d1:
-        P = params.W @ data.X
         outputs["min_neural_input"] = float(np.min(np.abs(P)))
         margin = construct_mod.angular_margin(data.X, params.W)
         outputs["margin"] = {
@@ -293,9 +297,7 @@ def cmd_scan(args):
         if key not in raw:
             raise ConfigError(f"scan config needs key '{key}'")
     config = _train_config(raw)
-    rows = train_mod.scan_overparam(
-        raw["d_values"], raw["n_factors"], raw["seeds"], config, workers=args.workers
-    )
+    rows = train_mod.scan_overparam(raw["d_values"], raw["n_factors"], raw["seeds"], config)
     csv_lines = ["d,N,params_over_N,mce_mean,mce_std"]
     csv_lines += [
         f"{r['d']},{r['N']},{repr(r['params_over_N'])},{repr(r['mce_mean'])},{repr(r['mce_std'])}"
@@ -313,7 +315,7 @@ def cmd_diagnostic(args):
             raise ConfigError(f"diagnostic config needs key '{key}'")
     defaults = {"epochs": 2000, "lr_decay_epochs": 1000, "stop_on_zero_mce": False}
     config = _train_config(raw, defaults=defaults)
-    rows = train_mod.dlm_diagnostic(raw["d"], raw["seeds"], config, workers=args.workers)
+    rows = train_mod.dlm_diagnostic(raw["d"], raw["seeds"], config)
     csv_lines = ["seed_index,min_neural_input,final_mse"]
     csv_lines += [
         f"{r['seed_index']},{repr(r['min_neural_input'])},{repr(r['final_mse'])}" for r in rows
@@ -492,7 +494,6 @@ def build_parser():
         p = sub.add_parser(name, help=f"run the {name} protocol from a JSON config")
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True, help="output prefix: writes <out>.json and <out>.csv")
-        p.add_argument("--workers", type=int, default=None)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("volume", help="Monte Carlo volume estimators")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BadLeak, DegenerateData, TargetTooSmall, ZeroVector
 from .linalg import canonical_sign, nullspace_basis, nullspace_direction, solve_linear
-from .network import NetParams, forward, lrelu
+from .network import NetParams, evaluate, lrelu, mean_square
 
 # |w . x| below this (relative to the column norm) counts as a degenerate hit.
 _DEGENERATE_TOL = 1e-13
@@ -173,13 +173,13 @@ def build_global_minimum(data, rho, beta=0.5, gamma=0.5, target_d1=None, seed=No
     params = NetParams(W=W, z=z, rho=rho)
 
     if W.shape[0]:
-        err = forward(params, X) - data.y
-        if float(err @ err) / data.n_samples > 1e-18:
+        P, _, _, yhat = evaluate(W, z, rho, X)
+        if mean_square(yhat - data.y) > 1e-18:
             raise DegenerateData(
                 "built network exceeds the 1e-18 squared-error budget; "
                 "X is near-degenerate at double precision, perturb it infinitesimally"
             )
-        if np.min(np.abs(W @ X)) == 0.0:
+        if np.min(np.abs(P)) == 0.0:
             raise DegenerateData("built network has a zero pre-activation; X is near-degenerate")
     elif np.any(data.y != 0.0):
         raise DegenerateData("empty construction cannot reproduce nonzero labels")

@@ -1,5 +1,8 @@
 """One-hidden-layer leaky-ReLU network: forward pass, losses, patterns, gradients.
 
+evaluate and backward are the only places the forward and gradient math
+is written; every loss, trainer and stationarity check goes through them.
+
 The model has no biases and a single scalar output per sample.  Data is
 kept column-per-sample: X is (d0, N), labels y in {0, 1}^N.  The first
 layer is W (d1, d0), the second z (d1,), and the unit is
@@ -59,6 +62,8 @@ class Dataset:
             raise ValueError("dataset needs at least one sample")
         if not np.all((self.y == 0.0) | (self.y == 1.0)):
             raise ValueError("labels must be exactly 0 or 1")
+        if not np.all(np.isfinite(self.X)):
+            raise ValueError("non-finite input entries")
 
     @property
     def n_samples(self):
@@ -109,10 +114,43 @@ def activation_pattern(W, X, rho, tau=DEFAULT_TAU):
     )
 
 
+def evaluate(W, z, rho, X):
+    """The network on the columns of X as (P, A, H, yhat).
+
+    P = WX holds the pre-activations, A = a(P) the slopes (1 at zero),
+    H = P o A the hidden outputs and yhat = H^T z the outputs.
+    """
+    P = W @ X
+    A = activation_slopes(P, rho)
+    H = P * A
+    return P, A, H, H.T @ z
+
+
+def backward(z, X, A, H, e):
+    """MSE gradient (dW, dz) over the columns of X from evaluate's A, H and e = y - yhat.
+
+    dW_i = -(2/N) z_i sum_n a_in e_n x_n and dz = -(2/N) H e, with slope 1
+    at zero pre-activations.
+    """
+    scale = -2.0 / X.shape[1]
+    dz = scale * (H @ e)
+    dW = scale * ((z[:, None] * A * e[None, :]) @ X.T)
+    return dW, dz
+
+
+def mean_square(e):
+    """(1/N) ||e||^2 of a length-N residual."""
+    return float(e @ e) / e.size
+
+
+def misclassified(y, yhat):
+    """Fraction misclassified at output threshold 0.5; a tie predicts class 1."""
+    return float(np.mean((yhat >= 0.5) != (y == 1.0)))
+
+
 def forward(params, X):
     """Network output on every sample: f(WX)^T z as a length-N vector."""
-    H = lrelu(params.W @ np.asarray(X, dtype=float), params.rho)
-    return H.T @ params.z
+    return evaluate(params.W, params.z, params.rho, np.asarray(X, dtype=float))[3]
 
 
 def residual(params, data):
@@ -122,16 +160,12 @@ def residual(params, data):
 
 def mse(params, data):
     """Mean square error (1/N) ||y - yhat||^2."""
-    e = residual(params, data)
-    return float(e @ e) / data.n_samples
+    return mean_square(residual(params, data))
 
 
 def mce(params, data):
     """Fraction misclassified at output threshold 0.5; a tie predicts class 1."""
-    yhat = forward(params, data.X)
-    predicted_one = yhat >= 0.5
-    actual_one = data.y == 1.0
-    return float(np.mean(predicted_one != actual_one))
+    return misclassified(data.y, forward(params, data.X))
 
 
 def khatri_rao(A, X):
@@ -146,16 +180,6 @@ def khatri_rao(A, X):
 
 
 def gradient(params, data):
-    """Analytic MSE gradient (dW, dz) with slope 1 at zero pre-activations.
-
-    dW_i = -(2/N) z_i sum_n a_in e_n x_n and dz = -(2/N) f(WX) e.
-    """
-    X, y = data.X, data.y
-    N = data.n_samples
-    P = params.W @ X
-    A = activation_slopes(P, params.rho)
-    H = P * A
-    e = y - H.T @ params.z
-    dz = -(2.0 / N) * (H @ e)
-    dW = -(2.0 / N) * ((params.z[:, None] * A * e[None, :]) @ X.T)
-    return dW, dz
+    """Analytic MSE gradient (dW, dz) with slope 1 at zero pre-activations."""
+    _, A, H, yhat = evaluate(params.W, params.z, params.rho, data.X)
+    return backward(params.z, data.X, A, H, data.y - yhat)

@@ -14,12 +14,7 @@ import numpy as np
 
 from .errors import InstanceTooLarge
 from .linalg import numerical_rank
-from .network import (
-    DEFAULT_TAU,
-    activation_slopes,
-    gradient,
-    khatri_rao,
-)
+from .network import DEFAULT_TAU, activation_slopes, backward, evaluate, khatri_rao
 
 # 2^22 subsets is the largest enumeration the oracle will attempt.
 MAX_ORACLE_SAMPLES = 22
@@ -35,14 +30,12 @@ class StationarityReport:
 
 def dlm_condition(params, data, tau=DEFAULT_TAU):
     """Evaluate the first-order residual condition at (W, z) on the dataset."""
-    X, y = data.X, data.y
-    P = params.W @ X
-    A = activation_slopes(P, params.rho)
-    e = y - (P * A).T @ params.z
-    G = khatri_rao(A, X)
-    dW, dz = gradient(params, data)
+    X = data.X
+    P, A, H, yhat = evaluate(params.W, params.z, params.rho, X)
+    e = data.y - yhat
+    dW, dz = backward(params.z, X, A, H, e)
     return StationarityReport(
-        residual_norm=float(np.linalg.norm(G @ e)),
+        residual_norm=float(np.linalg.norm(khatri_rao(A, X) @ e)),
         gradient_norm=float(np.sqrt(np.sum(dW * dW) + dz @ dz)),
         min_neural_input=float(np.min(np.abs(P))) if P.size else float("inf"),
         boundary_hits=int(np.sum(np.abs(P) <= tau)),

@@ -11,15 +11,13 @@ final phase decays the learning rate exponentially by a factor of 1000,
 and records the smallest |pre-activation| at the end.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 import numpy as np
 
 from .errors import NonFinite
-from .network import Dataset, NetParams, activation_slopes
-from .volume import WORKERS_ENV
+from .network import Dataset, NetParams, backward, evaluate, mean_square, misclassified
 
 # Learning-rate shrink factor applied across the whole decay phase.
 DECAY_TOTAL_FACTOR = 1e-3
@@ -146,7 +144,6 @@ def adam_train(params, data, config):
     lr = config.lr
     history = []
     epochs_run = 0
-    actual_one = y == 1.0
     for epoch in range(config.epochs):
         if epoch >= decay_start:
             lr *= decay_q
@@ -154,23 +151,15 @@ def adam_train(params, data, config):
         for start in range(0, N - batch + 1, batch):
             cols = perm[start:start + batch]
             Xb = X[:, cols]
-            P = W @ Xb
-            A = activation_slopes(P, rho)
-            H = P * A
-            e = y[cols] - H.T @ z
-            scale = -2.0 / cols.size
-            dz = scale * (H @ e)
-            dW = scale * ((z[:, None] * A * e[None, :]) @ Xb.T)
-            d_W, d_z = opt.step([dW, dz], lr=lr)
+            _, A, H, yhat = evaluate(W, z, rho, Xb)
+            d_W, d_z = opt.step(backward(z, Xb, A, H, y[cols] - yhat), lr=lr)
             W += d_W
             z += d_z
-        P = W @ X
-        yhat = (P * activation_slopes(P, rho)).T @ z
-        e = y - yhat
-        epoch_mse = float(e @ e) / N
+        P, _, _, yhat = evaluate(W, z, rho, X)
+        epoch_mse = mean_square(y - yhat)
         if not np.isfinite(epoch_mse):
             raise NonFinite(epoch)
-        epoch_mce = float(np.mean((yhat >= 0.5) != actual_one))
+        epoch_mce = misclassified(y, yhat)
         history.append((epoch_mse, epoch_mce))
         epochs_run = epoch + 1
         if config.stop_on_zero_mce and epoch_mce == 0.0:
@@ -204,15 +193,6 @@ def zca_whiten(X, eps=1e-5):
     return T @ Xc, T
 
 
-def _train_workers(workers):
-    # training steps are small numpy calls, so threads only pay off when
-    # the caller (or the env) asks for them explicitly
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    return max(1, int(env)) if env else 1
-
-
 def _run_cell(d, N, config, top_seed, tag, index):
     data = gen_gaussian_dataset(d, N, derive_seed(top_seed, tag, index, 0))
     params = he_init(d, d, derive_seed(top_seed, tag, index, 1), rho=config.rho)
@@ -221,7 +201,7 @@ def _run_cell(d, N, config, top_seed, tag, index):
     return result
 
 
-def scan_overparam(d_values, N_factors, seeds, config, workers=None):
+def scan_overparam(d_values, N_factors, seeds, config):
     """Grid of widths and sample counts; per cell the mean and std of final MCE.
 
     Each cell trains d0 = d1 = d on N = round(factor * d^2) samples for
@@ -230,28 +210,11 @@ def scan_overparam(d_values, N_factors, seeds, config, workers=None):
     """
     if not d_values or not N_factors:
         raise ValueError("d_values and N_factors must be nonempty")
-    cells = [(d, f) for d in d_values for f in N_factors]
-    tasks = [
-        (ci, s, d, max(1, round(f * d * d)))
-        for ci, (d, f) in enumerate(cells)
-        for s in range(seeds)
-    ]
-
-    def run(task):
-        ci, s, d, N = task
-        return _run_cell(d, N, config, config.seed, f"scan-{ci}", s).final_mce
-
-    workers = _train_workers(workers)
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            mces = list(pool.map(run, tasks))
-    else:
-        mces = [run(t) for t in tasks]
-
     rows = []
-    for ci, (d, f) in enumerate(cells):
-        cell_mces = np.array([mces[i] for i, t in enumerate(tasks) if t[0] == ci])
+    for ci, (d, f) in enumerate(product(d_values, N_factors)):
         N = max(1, round(f * d * d))
+        cell_mces = np.array([_run_cell(d, N, config, config.seed, f"scan-{ci}", s).final_mce
+                              for s in range(seeds)])
         rows.append({
             "d": d,
             "N": N,
@@ -263,7 +226,7 @@ def scan_overparam(d_values, N_factors, seeds, config, workers=None):
     return rows
 
 
-def dlm_diagnostic(d, seeds, config, workers=None):
+def dlm_diagnostic(d, seeds, config):
     """Per-seed final |pre-activation| floor and loss on N = floor(d^2 / 5) samples.
 
     Expects a config with a learning-rate decay phase and no early stop,
@@ -272,14 +235,9 @@ def dlm_diagnostic(d, seeds, config, workers=None):
     if d < 4:
         raise ValueError("d must be at least 4")
     N = d * d // 5
-
-    def run(s):
+    rows = []
+    for s in range(seeds):
         result = _run_cell(d, N, config, config.seed, "diagnostic", s)
-        return {"seed_index": s, "min_neural_input": result.min_neural_input,
-                "final_mse": result.final_mse}
-
-    workers = _train_workers(workers)
-    if workers > 1 and seeds > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, range(seeds)))
-    return [run(s) for s in range(seeds)]
+        rows.append({"seed_index": s, "min_neural_input": result.min_neural_input,
+                     "final_mse": result.final_mse})
+    return rows

@@ -112,6 +112,11 @@ def trial_rng(seed, index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _pool_size(workers, trials, cpus):
+    """Threads for a count: no more than asked for, than CPUs or than trials."""
+    return max(1, min(workers, cpus or 1, trials))
+
+
 def _count_hits(trial, trials, seed, workers):
     def run_range(lo, hi):
         # chunk-local generator re-keyed per trial: same stream as
@@ -133,7 +138,7 @@ def _count_hits(trial, trials, seed, workers):
                 hits += 1
         return hits
 
-    workers = resolve_workers(workers)
+    workers = _pool_size(resolve_workers(workers), trials, os.cpu_count())
     if workers <= 1 or trials < 2 * workers:
         return run_range(0, trials)
     # contiguous chunks; summation order does not affect the integer total

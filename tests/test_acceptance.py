@@ -153,8 +153,7 @@ def test_criterion_05_overparameterization_scan():
         start = time.time()
         config = TrainConfig(epochs=4000, lr=0.01, seed=2026, rho=0.0,
                              stop_on_zero_mce=True)
-        rows = scan_overparam([10, 20, 30], [0.5, 4.0], seeds=5, config=config,
-                              workers=1)
+        rows = scan_overparam([10, 20, 30], [0.5, 4.0], seeds=5, config=config)
         for row in rows:
             med = statistics.median(row["mce_values"])
             if row["params_over_N"] >= 2.0:       # N = floor(d^2 / 2)
@@ -170,7 +169,7 @@ def test_criterion_06_differentiability_diagnostic():
         start = time.time()
         config = TrainConfig(epochs=2000, lr=0.01, lr_decay_epochs=1000, seed=606,
                              rho=0.0, stop_on_zero_mce=False)
-        rows = dlm_diagnostic(20, seeds=10, config=config, workers=1)
+        rows = dlm_diagnostic(20, seeds=10, config=config)
         assert time.time() - start < 10 * 60
         assert 20 * 20 // 5 == 80
         mses = [row["final_mse"] for row in rows]

@@ -82,6 +82,11 @@ class TestGFunction:
         with pytest.raises(DomainError):
             g_inverse(-1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_inverse_rejects_non_finite(self, t):
+        with pytest.raises(DomainError):
+            g_inverse(t)
+
 
 class TestPsi:
     def test_value_at_23_25(self):
@@ -102,6 +107,10 @@ class TestPsi:
     def test_domain(self):
         with pytest.raises(DomainError):
             psi(0.0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            psi(math.nan)
 
 
 class TestThetaStar:

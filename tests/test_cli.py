@@ -53,6 +53,13 @@ class TestDatasetCsv:
         with pytest.raises(DatasetFormatError, match="line 3"):
             load_dataset_csv(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_field_names_line(self, tmp_path, bad):
+        path = tmp_path / "data.csv"
+        path.write_text(f"d0=2,N=2\n1.0,2.0,1\n{bad},0.5,0\n")
+        with pytest.raises(DatasetFormatError, match="line 3: non-finite"):
+            load_dataset_csv(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("dims=2\n")
@@ -95,6 +102,16 @@ class TestConstructCommand:
         assert rc == 1
         assert not out.exists()
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_csv_exits_one_naming_line(self, tmp_path, capsys, bad):
+        csv_path = tmp_path / f"{bad}.csv"
+        csv_path.write_text(f"d0=2,N=3\n1.0,2.0,1\n-0.5,0.25,0\n0.5,{bad},1\n")
+        out = tmp_path / "never.json"
+        rc = run_cli("construct", "--data", str(csv_path), "--out", str(out))
+        assert rc == 1
+        assert not out.exists()
+        assert "line 4: non-finite" in capsys.readouterr().err
 
     def test_missing_size_flags(self, capsys):
         assert run_cli("construct") == 1
@@ -213,6 +230,33 @@ class TestVolumeCommands:
             paths.append(out)
         results = [json.dumps(outputs_of(p), sort_keys=True) for p in paths]
         assert results[0] == results[1] == results[2]
+
+
+class TestExitCodes:
+    def test_linalg_error_exits_two(self, monkeypatch, capsys):
+        from landscape import cli
+
+        def fail(args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "cmd_bounds", fail)
+        assert run_cli("bounds", "theta-star") == 2
+        assert "SVD did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config", [
+        ("train", {"dataset": {"d0": 2, "n": 4}, "epochs": 1}),
+        ("scan", {"d_values": [4], "n_factors": [0.5], "seeds": 1, "epochs": 1}),
+        ("diagnostic", {"d": 4, "seeds": 1, "epochs": 2, "lr_decay_epochs": 1}),
+    ])
+    def test_training_commands_take_no_workers_flag(self, tmp_path, capsys, command, config):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "t"
+        assert run_cli(command, "--config", str(path), "--out", str(out)) == 0
+        rc = run_cli(command, "--config", str(path), "--out", str(out) + "w", "--workers", "64")
+        assert rc == 1
+        assert not (tmp_path / "tw.json").exists()
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestBoundsCommands:

@@ -209,6 +209,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             Dataset(X=[[1.0]], y=[2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(X=[[1.0, bad]], y=[1.0, 0.0])
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeMismatch):
             NetParams(W=np.ones((2, 3)), z=np.ones(3), rho=0.0)

@@ -1,10 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from landscape.errors import NonFinite
-from landscape.network import Dataset, NetParams
+from landscape.network import Dataset, NetParams, gradient
+from landscape.stationarity import dlm_condition
 from landscape.train import (
     Adam,
     TrainConfig,
@@ -143,6 +145,56 @@ class TestAdamTrain:
             mse_series = [m for m, _ in result.history]
             wins += mse_series[-1] <= mse_series[299]
         assert wins >= 4
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedOutputs:
+    """Exact outputs of fixed small instances, pinned to the last bit.
+
+    Recorded before the forward and gradient math was folded into
+    network.evaluate/backward (numpy 2.4, bundled OpenBLAS, x86-64); a
+    change to the kernel's arithmetic or its order of operations shows
+    here.  Another BLAS build may round the products differently.
+    """
+
+    def test_adam_train(self):
+        data = gen_gaussian_dataset(6, 15, seed=31)
+        params = he_init(6, 6, seed=32, rho=0.3)
+        config = TrainConfig(epochs=40, lr_decay_epochs=20, seed=33, rho=0.3,
+                             stop_on_zero_mce=False)
+        trained, result = adam_train(params, data, config)
+        assert result.final_mse.hex() == "0x1.0e3034f24f6d0p-3"
+        assert result.min_neural_input.hex() == "0x1.616fdd5a54e18p-6"
+        assert result.final_mce == 2 / 15
+        assert result.epochs_run == 40
+        assert _digest(trained.W, trained.z) == (
+            "299f6667b4bf8d0a2c103cc3031c2a383bdb181002eea1e490b665d2347ecbdc")
+        assert _digest(np.array(result.history)) == (
+            "05f57876a2d9cb7f2b6a94eb8ce975f27e63c8a72eaec1a7d9e9457e1fc4e937")
+
+    def _instance(self):
+        rng = np.random.default_rng(34)
+        params = NetParams(W=rng.standard_normal((5, 4)), z=rng.standard_normal(5), rho=0.1)
+        data = Dataset(X=rng.standard_normal((4, 9)), y=rng.integers(0, 2, 9).astype(float))
+        return params, data
+
+    def test_gradient(self):
+        dW, dz = gradient(*self._instance())
+        assert _digest(dW, dz) == (
+            "44c6e05b0f0a87571a2bfd818e66987193359c66bc9cca513dda1b0b29dc14fa")
+
+    def test_dlm_condition(self):
+        report = dlm_condition(*self._instance())
+        assert report.residual_norm.hex() == "0x1.b085ab05f40dap+4"
+        assert report.gradient_norm.hex() == "0x1.017b16c04c057p+3"
+        assert report.min_neural_input.hex() == "0x1.001f68e1527a5p-3"
+        assert report.boundary_hits == 0
 
 
 class TestZcaWhiten:

@@ -202,6 +202,15 @@ class TestTrialStreams:
         assert not np.array_equal(a, c)
 
 
+def test_pool_size_clamps_to_cpus_and_trials():
+    from landscape.volume import _pool_size
+
+    assert _pool_size(100_000, 400_000, 2) == 2
+    assert _pool_size(100_000, 3, 64) == 3
+    assert _pool_size(4, 16, 64) == 4
+    assert _pool_size(8, 32, None) == 1
+
+
 def test_worker_env_override(monkeypatch):
     from landscape.volume import resolve_workers
 
