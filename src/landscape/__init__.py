@@ -3,7 +3,7 @@
 Submodules
 ----------
 linalg        dense solves, null spaces, numerical rank
-network       model, losses, activation patterns, Khatri-Rao, gradients
+network       model, losses, activation slopes, Khatri-Rao, gradients
 stationarity  first-order condition checks and the subset rank oracle
 construct     exact zero-error network construction and angular margins
 bounds        closed-form tail bounds and special-function constants
@@ -12,13 +12,12 @@ train         Gaussian-data Adam experiments and diagnostics
 cli           command-line front end with reproducible run records
 """
 
-from .network import ActivationPattern, Dataset, NetParams
+from .network import Dataset, NetParams
 from .construct import Construction, MarginCertificate
 from .volume import MCEstimate, RegionSpec
 from .train import TrainConfig, TrainResult
 
 __all__ = [
-    "ActivationPattern",
     "Construction",
     "Dataset",
     "MCEstimate",

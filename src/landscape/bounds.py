@@ -50,8 +50,8 @@ class BoundInputs:
             raise DomainError("counts must be at least 1")
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError("epsilon must lie in (0, 1)")
-        if self.lim_ratio < 0.0:
-            raise DomainError("lim_ratio must be nonnegative")
+        if not 0.0 <= self.lim_ratio < math.inf:
+            raise DomainError("lim_ratio must be finite and nonnegative")
 
 
 def std_normal(x):
@@ -206,12 +206,14 @@ def ratio_bound(inputs):
 
 
 def dichotomy_count_bound(N, d0):
-    """(schlafli, loose): 2 sum_{k<d0} C(N-1, k) exactly, and 2 N^d0 as a float."""
+    """(schlafli, loose): 2 sum_{k<d0} C(N-1, k) exactly, and 2 N^d0 as a float or inf."""
     if N < 1 or d0 < 1:
         raise DomainError("need N >= 1 and d0 >= 1")
     schlafli = 2 * sum(math.comb(N - 1, k) for k in range(min(d0, N)))
-    loose = 2.0 * float(N) ** d0
-    return schlafli, loose
+    try:
+        return schlafli, 2.0 * float(N) ** d0
+    except OverflowError:
+        return schlafli, math.inf
 
 
 def coherence_tail_bound(M, N, eps):
@@ -228,8 +230,11 @@ def orthant_probability_log_bound(N, M, L):
     Raises
     ------
     DomainError
-        If alpha = M L / N is not above 1 (outside the bound's regime).
+        If N, M or L is below 1, or alpha = M L / N is not above 1
+        (outside the bound's regime).
     """
+    if min(N, M, L) < 1:
+        raise DomainError("N, M and L must be at least 1")
     alpha = M * L / N
     if alpha <= 1.0:
         raise DomainError(f"alpha = M*L/N = {alpha:g} must exceed 1")

@@ -26,47 +26,18 @@ from .errors import (
     BadLeak,
     ConfigError,
     DatasetFormatError,
-    DegenerateData,
-    DegenerateInput,
-    DomainError,
-    InstanceTooLarge,
     LabelDomainError,
-    NonFinite,
-    RankDeficient,
-    TargetTooSmall,
+    LandscapeError,
+    NumericalError,
     UsageError,
-    ZeroColumn,
-    ZeroVector,
 )
 from .linalg import numerical_rank
 from .network import Dataset, activation_slopes, evaluate, khatri_rao, mean_square, misclassified
 from .stationarity import rank_condition_oracle
 
 EXIT_OK = 0
-EXIT_USAGE = 1        # usage, I/O, config, parameter-domain problems
-EXIT_NUMERICAL = 2    # degenerate data or numerical failure
-
-_USAGE_ERRORS = (
-    UsageError,
-    ConfigError,
-    DatasetFormatError,
-    LabelDomainError,
-    DomainError,
-    InstanceTooLarge,
-    BadLeak,
-    TargetTooSmall,
-    OSError,
-    ValueError,
-)
-_NUMERICAL_ERRORS = (
-    DegenerateData,
-    NonFinite,
-    RankDeficient,
-    DegenerateInput,
-    ZeroVector,
-    ZeroColumn,
-    np.linalg.LinAlgError,
-)
+EXIT_USAGE = 1        # every LandscapeError that is not a NumericalError, I/O, ValueError
+EXIT_NUMERICAL = 2    # NumericalError and numpy LinAlgError
 
 
 @dataclass
@@ -79,20 +50,8 @@ class RunRecord:
     outputs: dict = field(default_factory=dict)
 
 
-def _now():
-    return datetime.now(timezone.utc).isoformat()
-
-
-def write_json_atomic(path, payload):
-    """Serialize to a sibling temp file, then rename over the target."""
-    _write_atomic(path, json.dumps(payload, indent=2) + "\n")
-
-
-def write_text_atomic(path, text):
-    _write_atomic(path, text)
-
-
-def _write_atomic(path, text):
+def write_atomic(path, text):
+    """Write text to a sibling temp file, then rename it over the target."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
@@ -103,12 +62,6 @@ def _write_atomic(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def read_run_record(path):
-    with open(path) as handle:
-        raw = json.load(handle)
-    return RunRecord(**raw)
 
 
 def load_dataset_csv(path):
@@ -167,7 +120,7 @@ def write_dataset_csv(path, data):
     for n in range(data.n_samples):
         fields = [repr(float(v)) for v in data.X[:, n]] + [str(int(data.y[n]))]
         lines.append(",".join(fields))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +132,25 @@ _TRAIN_KEYS = {
 }
 
 
-def _check_keys(config, allowed, context):
+def _check_keys(config, allowed, context, required=()):
     for key in config:
         if key not in allowed:
             raise ConfigError(f"unknown config key '{key}' in {context}")
+    for key in required:
+        if key not in config:
+            raise ConfigError(f"{context} needs key '{key}'")
+
+
+def _check_types(config, context, types, keys, listed=False):
+    """Each present key holds a finite number of the given types (a list of them if listed)."""
+    for key in keys:
+        if key not in config:
+            continue
+        items = config[key] if listed else [config[key]]
+        if not isinstance(items, list) or not all(
+            isinstance(v, types) and not isinstance(v, bool) and math.isfinite(v) for v in items
+        ):
+            raise ConfigError(f"invalid value for config key '{key}' in {context}: {config[key]!r}")
 
 
 def _train_config(config, defaults=None):
@@ -192,6 +160,11 @@ def _train_config(config, defaults=None):
         return train_mod.TrainConfig(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid training configuration: {exc}") from None
+
+
+def _csv_text(header, table):
+    """A CSV table: the header line, then one line of repr'd values per row."""
+    return "\n".join([header] + [",".join(map(repr, row)) for row in table]) + "\n"
 
 
 def _load_config(path):
@@ -206,12 +179,10 @@ def _dataset_from_config(spec):
     if not isinstance(spec, dict):
         raise ConfigError("config key 'dataset' must be an object")
     if "path" in spec:
-        _check_keys(spec, {"path"}, "dataset")
+        _check_keys(spec, {"path"}, "dataset config")
         return load_dataset_csv(spec["path"]), {"path": spec["path"]}
-    _check_keys(spec, {"d0", "n", "seed"}, "dataset")
-    for key in ("d0", "n"):
-        if key not in spec:
-            raise ConfigError(f"dataset config needs key '{key}' (or 'path')")
+    _check_keys(spec, {"d0", "n", "seed"}, "dataset config", required=("d0", "n"))
+    _check_types(spec, "dataset config", int, ("d0", "n", "seed"))
     seed = spec.get("seed", 0)
     data = train_mod.gen_gaussian_dataset(spec["d0"], spec["n"], seed)
     return data, {"d0": spec["d0"], "n": spec["n"], "seed": seed}
@@ -267,9 +238,8 @@ def cmd_construct(args):
 
 def cmd_train(args):
     raw = _load_config(args.config)
-    _check_keys(raw, _TRAIN_KEYS | {"dataset", "d1"}, "train config")
-    if "dataset" not in raw:
-        raise ConfigError("train config needs key 'dataset'")
+    _check_keys(raw, _TRAIN_KEYS | {"dataset", "d1"}, "train config", required=("dataset",))
+    _check_types(raw, "train config", int, ("d1",))
     data, dataset_cfg = _dataset_from_config(raw["dataset"])
     d1 = raw.get("d1", data.d0)
     config = _train_config(raw)
@@ -283,172 +253,183 @@ def cmd_train(args):
         "min_neural_input": result.min_neural_input,
         "epochs_run": result.epochs_run,
     }
-    csv_lines = ["epoch,mse,mce"]
-    csv_lines += [f"{i},{repr(m)},{repr(c)}" for i, (m, c) in enumerate(result.history)]
+    table = [(i, m, c) for i, (m, c) in enumerate(result.history)]
     snapshot = dict(raw, dataset=dataset_cfg, d1=d1)
     record = RunRecord("train", snapshot, config.seed, outputs=outputs)
-    return record, "\n".join(csv_lines) + "\n"
+    return record, _csv_text("epoch,mse,mce", table)
 
 
 def cmd_scan(args):
     raw = _load_config(args.config)
-    _check_keys(raw, _TRAIN_KEYS | {"d_values", "n_factors", "seeds"}, "scan config")
-    for key in ("d_values", "n_factors", "seeds"):
-        if key not in raw:
-            raise ConfigError(f"scan config needs key '{key}'")
+    keys = ("d_values", "n_factors", "seeds")
+    _check_keys(raw, _TRAIN_KEYS | set(keys), "scan config", required=keys)
+    _check_types(raw, "scan config", int, ("seeds",))
+    _check_types(raw, "scan config", int, ("d_values",), listed=True)
+    _check_types(raw, "scan config", (int, float), ("n_factors",), listed=True)
     config = _train_config(raw)
     rows = train_mod.scan_overparam(raw["d_values"], raw["n_factors"], raw["seeds"], config)
-    csv_lines = ["d,N,params_over_N,mce_mean,mce_std"]
-    csv_lines += [
-        f"{r['d']},{r['N']},{repr(r['params_over_N'])},{repr(r['mce_mean'])},{repr(r['mce_std'])}"
-        for r in rows
-    ]
+    columns = ("d", "N", "params_over_N", "mce_mean", "mce_std")
     record = RunRecord("scan", raw, config.seed, outputs={"rows": rows})
-    return record, "\n".join(csv_lines) + "\n"
+    return record, _csv_text(",".join(columns), [[r[c] for c in columns] for r in rows])
 
 
 def cmd_diagnostic(args):
     raw = _load_config(args.config)
-    _check_keys(raw, _TRAIN_KEYS | {"d", "seeds"}, "diagnostic config")
-    for key in ("d", "seeds"):
-        if key not in raw:
-            raise ConfigError(f"diagnostic config needs key '{key}'")
+    _check_keys(raw, _TRAIN_KEYS | {"d", "seeds"}, "diagnostic config", required=("d", "seeds"))
+    _check_types(raw, "diagnostic config", int, ("d", "seeds"))
     defaults = {"epochs": 2000, "lr_decay_epochs": 1000, "stop_on_zero_mce": False}
     config = _train_config(raw, defaults=defaults)
     rows = train_mod.dlm_diagnostic(raw["d"], raw["seeds"], config)
-    csv_lines = ["seed_index,min_neural_input,final_mse"]
-    csv_lines += [
-        f"{r['seed_index']},{repr(r['min_neural_input'])},{repr(r['final_mse'])}" for r in rows
-    ]
+    columns = ("seed_index", "min_neural_input", "final_mse")
     record = RunRecord("diagnostic", raw, config.seed, outputs={"rows": rows})
-    return record, "\n".join(csv_lines) + "\n"
+    return record, _csv_text(",".join(columns), [[r[c] for c in columns] for r in rows])
 
 
-def _estimate_dict(est):
-    return asdict(est)
-
-
-def cmd_volume(args):
-    workers = args.workers
-    seed = args.seed
-    trials = args.trials
+def cmd_kind(args):
+    """RunRecord of one `volume` or `bounds` kind: its outputs under the flags it ran with."""
     config = {k: v for k, v in vars(args).items()
-              if k not in {"func", "out", "workers"} and v is not None}
-    if args.volume_kind == "angular":
-        rng = np.random.default_rng(args.pattern_seed)
-        X = rng.standard_normal((args.d0, args.n))
-        W0 = rng.standard_normal((args.d1, args.d0))
-        A = activation_slopes(W0 @ X, 0.5)
-        region = volume_mod.RegionSpec.from_activation_pattern(A, X)
-        est = volume_mod.estimate_angular_volume(region, trials, seed, workers)
-        outputs = {"estimate": _estimate_dict(est), "bound": None}
-    elif args.volume_kind == "global":
-        rng = np.random.default_rng(args.pattern_seed)
-        X = rng.standard_normal((args.d0, args.n))
-        Wstar = rng.standard_normal((args.d1star, args.d0))
-        d1 = args.d1 if args.d1 is not None else args.d1star
-        est = volume_mod.estimate_global_region_volume(X, Wstar, d1, trials, seed, workers)
-        margin = construct_mod.angular_margin(X, Wstar)
-        exact, asymptotic_log = bounds_mod.global_volume_lower_bound(
-            args.d0, args.d1star, margin.sin_alpha
-        )
-        outputs = {
-            "estimate": _estimate_dict(est),
-            "bound": {
-                "sin_alpha": margin.sin_alpha,
-                "lower_exact": exact,
-                "lower_log": bounds_mod.global_volume_log_lower_bound(
-                    args.d0, args.d1star, margin.sin_alpha
-                ),
-                "asymptotic_log": asymptotic_log,
-            },
-        }
-    elif args.volume_kind == "orthant":
-        est = volume_mod.estimate_orthant_probability(
-            args.n, args.m, args.l, trials, seed, workers
-        )
-        alpha = args.m * args.l / args.n
-        bound = (
-            {"log": bounds_mod.orthant_probability_log_bound(args.n, args.m, args.l)}
-            if alpha > 1.0
-            else None
-        )
-        outputs = {"estimate": _estimate_dict(est), "alpha": alpha, "bound": bound}
-    elif args.volume_kind == "coherence":
-        est = volume_mod.estimate_coherence_tail(args.m, args.n, args.eps, trials, seed, workers)
-        outputs = {
-            "estimate": _estimate_dict(est),
-            "bound": {"tail": bounds_mod.coherence_tail_bound(args.m, args.n, args.eps)},
-        }
-    else:  # margin
-        rng = np.random.default_rng(args.pattern_seed)
-        Wstar = rng.standard_normal((args.d1star, args.d0))
-        est = volume_mod.estimate_margin_probability(
-            Wstar, args.n, args.sin_alpha, trials, seed, workers
-        )
-        upper = bounds_mod.beta_angle_bounds(args.d0, args.sin_alpha, "upper")
-        outputs = {
-            "estimate": _estimate_dict(est),
-            "bound": {"lower": max(0.0, 1.0 - args.n * args.d1star * upper)},
-        }
-    return RunRecord(f"volume {args.volume_kind}", config, seed, outputs=outputs)
+              if k not in {"func", "outputs", "out", "workers"} and v is not None}
+    command = f"{args.command} {config[args.command + '_kind']}"
+    return RunRecord(command, config, config.get("seed", 0), outputs=args.outputs(args))
 
 
-def cmd_bounds(args):
-    kind = args.bounds_kind
-    config = {k: v for k, v in vars(args).items()
-              if k not in {"func", "out"} and v is not None}
-    if kind == "theta-star":
-        star = bounds_mod.find_theta_star()
-        outputs = {"theta": star.theta, "psi": star.psi_at_theta, "objective": star.objective}
-    elif kind == "gamma-eps":
-        inputs = bounds_mod.BoundInputs(
-            N=1, d0=1, d1=1, epsilon=args.epsilon, rho=args.rho, lim_ratio=args.lim_ratio
-        )
-        outputs = {"gamma_epsilon": bounds_mod.gamma_epsilon(inputs)}
-    elif kind in ("suboptimal", "ratio"):
-        inputs = bounds_mod.BoundInputs(
-            N=args.n, d0=args.d0, d1=args.d1,
-            epsilon=args.epsilon, rho=args.rho, lim_ratio=args.lim_ratio,
-        )
-        log_bound = bounds_mod.suboptimal_volume_log_bound(inputs)
-        if kind == "suboptimal":
-            outputs = {"log": log_bound, "value": bounds_mod.suboptimal_volume_bound(inputs)}
-        else:
-            log_ratio, companion = bounds_mod.ratio_bound(inputs)
-            outputs = {"log": log_ratio, "nlogn_companion": companion}
-    elif kind == "global-lower":
-        exact, asymptotic_log = bounds_mod.global_volume_lower_bound(
-            args.d0, args.d1star, args.sin_alpha
-        )
-        outputs = {
-            "exact": exact,
-            "log": bounds_mod.global_volume_log_lower_bound(args.d0, args.d1star, args.sin_alpha),
+def volume_angular(args):
+    rng = np.random.default_rng(args.pattern_seed)
+    X = rng.standard_normal((args.d0, args.n))
+    W0 = rng.standard_normal((args.d1, args.d0))
+    region = volume_mod.RegionSpec.from_activation_pattern(activation_slopes(W0 @ X, 0.5), X)
+    est = volume_mod.estimate_angular_volume(region, args.trials, args.seed, args.workers)
+    return {"estimate": asdict(est), "bound": None}
+
+
+def volume_global(args):
+    rng = np.random.default_rng(args.pattern_seed)
+    X = rng.standard_normal((args.d0, args.n))
+    Wstar = rng.standard_normal((args.d1star, args.d0))
+    d1 = args.d1 if args.d1 is not None else args.d1star
+    est = volume_mod.estimate_global_region_volume(
+        X, Wstar, d1, args.trials, args.seed, args.workers
+    )
+    sin_alpha = construct_mod.angular_margin(X, Wstar).sin_alpha
+    exact, asymptotic_log = bounds_mod.global_volume_lower_bound(args.d0, args.d1star, sin_alpha)
+    return {
+        "estimate": asdict(est),
+        "bound": {
+            "sin_alpha": sin_alpha,
+            "lower_exact": exact,
+            "lower_log": bounds_mod.global_volume_log_lower_bound(args.d0, args.d1star, sin_alpha),
             "asymptotic_log": asymptotic_log,
-        }
-    elif kind == "delta":
-        outputs = {"delta": bounds_mod.delta_probability(args.d0, args.n)}
-    elif kind == "dichotomy":
-        schlafli, loose = bounds_mod.dichotomy_count_bound(args.n, args.d0)
-        outputs = {"schlafli": schlafli, "loose": loose}
-    elif kind == "coherence-tail":
-        outputs = {"tail": bounds_mod.coherence_tail_bound(args.m, args.n, args.eps)}
-    elif kind == "orthant":
-        outputs = {"log": bounds_mod.orthant_probability_log_bound(args.n, args.m, args.l)}
-    else:  # beta
-        if args.which == "lower":
-            if args.angle is None:
-                raise UsageError("bounds beta --which lower needs --angle (radians)")
-            value = args.angle
-        else:
-            if args.u is None:
-                raise UsageError("bounds beta --which upper needs --u")
-            value = args.u
-        outputs = {"bound": bounds_mod.beta_angle_bounds(args.d0, value, args.which)}
-    return RunRecord(f"bounds {kind}", config, 0, outputs=outputs)
+        },
+    }
+
+
+def volume_orthant(args):
+    est = volume_mod.estimate_orthant_probability(
+        args.n, args.m, args.l, args.trials, args.seed, args.workers
+    )
+    alpha = args.m * args.l / args.n
+    bound = (
+        {"log": bounds_mod.orthant_probability_log_bound(args.n, args.m, args.l)}
+        if alpha > 1.0
+        else None
+    )
+    return {"estimate": asdict(est), "alpha": alpha, "bound": bound}
+
+
+def volume_coherence(args):
+    est = volume_mod.estimate_coherence_tail(
+        args.m, args.n, args.eps, args.trials, args.seed, args.workers
+    )
+    return {
+        "estimate": asdict(est),
+        "bound": {"tail": bounds_mod.coherence_tail_bound(args.m, args.n, args.eps)},
+    }
+
+
+def volume_margin(args):
+    rng = np.random.default_rng(args.pattern_seed)
+    Wstar = rng.standard_normal((args.d1star, args.d0))
+    est = volume_mod.estimate_margin_probability(
+        Wstar, args.n, args.sin_alpha, args.trials, args.seed, args.workers
+    )
+    upper = bounds_mod.beta_angle_bounds(args.d0, args.sin_alpha, "upper")
+    return {
+        "estimate": asdict(est),
+        "bound": {"lower": max(0.0, 1.0 - args.n * args.d1star * upper)},
+    }
+
+
+def _bound_inputs(args):
+    return bounds_mod.BoundInputs(
+        N=args.n, d0=args.d0, d1=args.d1,
+        epsilon=args.epsilon, rho=args.rho, lim_ratio=args.lim_ratio,
+    )
+
+
+def bounds_theta_star(args):
+    star = bounds_mod.find_theta_star()
+    return {"theta": star.theta, "psi": star.psi_at_theta, "objective": star.objective}
+
+
+def bounds_gamma_eps(args):
+    inputs = bounds_mod.BoundInputs(
+        N=1, d0=1, d1=1, epsilon=args.epsilon, rho=args.rho, lim_ratio=args.lim_ratio
+    )
+    return {"gamma_epsilon": bounds_mod.gamma_epsilon(inputs)}
+
+
+def bounds_suboptimal(args):
+    inputs = _bound_inputs(args)
+    return {
+        "log": bounds_mod.suboptimal_volume_log_bound(inputs),
+        "value": bounds_mod.suboptimal_volume_bound(inputs),
+    }
+
+
+def bounds_ratio(args):
+    log_ratio, companion = bounds_mod.ratio_bound(_bound_inputs(args))
+    return {"log": log_ratio, "nlogn_companion": companion}
+
+
+def bounds_global_lower(args):
+    exact, asymptotic_log = bounds_mod.global_volume_lower_bound(
+        args.d0, args.d1star, args.sin_alpha
+    )
+    return {
+        "exact": exact,
+        "log": bounds_mod.global_volume_log_lower_bound(args.d0, args.d1star, args.sin_alpha),
+        "asymptotic_log": asymptotic_log,
+    }
+
+
+def bounds_delta(args):
+    return {"delta": bounds_mod.delta_probability(args.d0, args.n)}
+
+
+def bounds_dichotomy(args):
+    schlafli, loose = bounds_mod.dichotomy_count_bound(args.n, args.d0)
+    return {"schlafli": schlafli, "loose": loose}
+
+
+def bounds_coherence_tail(args):
+    return {"tail": bounds_mod.coherence_tail_bound(args.m, args.n, args.eps)}
+
+
+def bounds_orthant(args):
+    return {"log": bounds_mod.orthant_probability_log_bound(args.n, args.m, args.l)}
+
+
+def bounds_beta(args):
+    value = args.angle if args.which == "lower" else args.u
+    if value is None:
+        flag = "--angle (radians)" if args.which == "lower" else "--u"
+        raise UsageError(f"bounds beta --which {args.which} needs {flag}")
+    return {"bound": bounds_mod.beta_angle_bounds(args.d0, value, args.which)}
 
 
 def cmd_rank_oracle(args):
+    if args.rho == 1.0:
+        raise BadLeak("rho must differ from 1")
     rng = np.random.default_rng(args.seed)
     X = rng.standard_normal((args.d0, args.n))
     W = rng.standard_normal((args.d1, args.d0))
@@ -471,6 +452,16 @@ def cmd_rank_oracle(args):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _kind_parser(sub, name, outputs, ints=(), floats=()):
+    """Subparser for one kind with its required int and float flags; cmd_kind records it."""
+    p = sub.add_parser(name)
+    for flags, kind in ((ints, int), (floats, float)):
+        for flag in flags:
+            p.add_argument(flag, type=kind, required=True)
+    p.set_defaults(func=cmd_kind, outputs=outputs)
+    return p
 
 
 def build_parser():
@@ -498,79 +489,45 @@ def build_parser():
 
     p = sub.add_parser("volume", help="Monte Carlo volume estimators")
     vsub = p.add_subparsers(dest="volume_kind", required=True)
-    pv = vsub.add_parser("angular")
-    pv.add_argument("--d0", type=int, required=True)
-    pv.add_argument("--d1", type=int, required=True)
-    pv.add_argument("--n", type=int, required=True)
+    pv = _kind_parser(vsub, "angular", volume_angular, ints=("--d0", "--d1", "--n"))
     pv.add_argument("--pattern-seed", type=int, default=0)
-    pv = vsub.add_parser("global")
-    pv.add_argument("--d0", type=int, required=True)
-    pv.add_argument("--d1star", type=int, required=True)
+    pv = _kind_parser(vsub, "global", volume_global, ints=("--d0", "--d1star"))
     pv.add_argument("--d1", type=int, default=None)
     pv.add_argument("--n", type=int, required=True)
     pv.add_argument("--pattern-seed", type=int, default=0)
-    pv = vsub.add_parser("orthant")
-    pv.add_argument("--n", type=int, required=True)
-    pv.add_argument("--m", type=int, required=True)
-    pv.add_argument("--l", type=int, required=True)
-    pv = vsub.add_parser("coherence")
-    pv.add_argument("--m", type=int, required=True)
-    pv.add_argument("--n", type=int, required=True)
-    pv.add_argument("--eps", type=float, required=True)
-    pv = vsub.add_parser("margin")
-    pv.add_argument("--d0", type=int, required=True)
-    pv.add_argument("--d1star", type=int, required=True)
-    pv.add_argument("--n", type=int, required=True)
-    pv.add_argument("--sin-alpha", type=float, required=True)
+    _kind_parser(vsub, "orthant", volume_orthant, ints=("--n", "--m", "--l"))
+    _kind_parser(vsub, "coherence", volume_coherence, ints=("--m", "--n"), floats=("--eps",))
+    pv = _kind_parser(vsub, "margin", volume_margin,
+                      ints=("--d0", "--d1star", "--n"), floats=("--sin-alpha",))
     pv.add_argument("--pattern-seed", type=int, default=0)
     for pv in vsub.choices.values():
         pv.add_argument("--trials", type=int, required=True)
         pv.add_argument("--seed", type=int, required=True)
         pv.add_argument("--workers", type=int, default=None)
         pv.add_argument("--out")
-        pv.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("bounds", help="closed-form bound evaluators")
     bsub = p.add_subparsers(dest="bounds_kind", required=True)
-    bsub.add_parser("theta-star")
-    pb = bsub.add_parser("gamma-eps")
-    pb.add_argument("--epsilon", type=float, required=True)
-    pb.add_argument("--rho", type=float, required=True)
+    _kind_parser(bsub, "theta-star", bounds_theta_star)
+    pb = _kind_parser(bsub, "gamma-eps", bounds_gamma_eps, floats=("--epsilon", "--rho"))
     pb.add_argument("--lim-ratio", type=float, default=0.0)
-    for name in ("suboptimal", "ratio"):
-        pb = bsub.add_parser(name)
-        pb.add_argument("--n", type=int, required=True)
-        pb.add_argument("--d0", type=int, required=True)
-        pb.add_argument("--d1", type=int, required=True)
-        pb.add_argument("--epsilon", type=float, required=True)
-        pb.add_argument("--rho", type=float, required=True)
+    for name, outputs in (("suboptimal", bounds_suboptimal), ("ratio", bounds_ratio)):
+        pb = _kind_parser(bsub, name, outputs,
+                          ints=("--n", "--d0", "--d1"), floats=("--epsilon", "--rho"))
         pb.add_argument("--lim-ratio", type=float, default=0.0)
-    pb = bsub.add_parser("global-lower")
-    pb.add_argument("--d0", type=int, required=True)
-    pb.add_argument("--d1star", type=int, required=True)
-    pb.add_argument("--sin-alpha", type=float, required=True)
-    pb = bsub.add_parser("delta")
-    pb.add_argument("--d0", type=int, required=True)
-    pb.add_argument("--n", type=int, required=True)
-    pb = bsub.add_parser("dichotomy")
-    pb.add_argument("--n", type=int, required=True)
-    pb.add_argument("--d0", type=int, required=True)
-    pb = bsub.add_parser("coherence-tail")
-    pb.add_argument("--m", type=int, required=True)
-    pb.add_argument("--n", type=int, required=True)
-    pb.add_argument("--eps", type=float, required=True)
-    pb = bsub.add_parser("orthant")
-    pb.add_argument("--n", type=int, required=True)
-    pb.add_argument("--m", type=int, required=True)
-    pb.add_argument("--l", type=int, required=True)
-    pb = bsub.add_parser("beta")
-    pb.add_argument("--d0", type=int, required=True)
+    _kind_parser(bsub, "global-lower", bounds_global_lower,
+                 ints=("--d0", "--d1star"), floats=("--sin-alpha",))
+    _kind_parser(bsub, "delta", bounds_delta, ints=("--d0", "--n"))
+    _kind_parser(bsub, "dichotomy", bounds_dichotomy, ints=("--n", "--d0"))
+    _kind_parser(bsub, "coherence-tail", bounds_coherence_tail,
+                 ints=("--m", "--n"), floats=("--eps",))
+    _kind_parser(bsub, "orthant", bounds_orthant, ints=("--n", "--m", "--l"))
+    pb = _kind_parser(bsub, "beta", bounds_beta, ints=("--d0",))
     pb.add_argument("--which", choices=("lower", "upper"), required=True)
     pb.add_argument("--angle", type=float, default=None)
     pb.add_argument("--u", type=float, default=None)
     for pb in bsub.choices.values():
         pb.add_argument("--out")
-        pb.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("rank-oracle", help="exhaustive subset rank condition on a random instance")
     p.add_argument("--d0", type=int, required=True)
@@ -588,24 +545,25 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        started = _now()
+        started = datetime.now(timezone.utc).isoformat()
         produced = args.func(args)
         record, csv_text = produced if isinstance(produced, tuple) else (produced, None)
         record.started = started
-        record.finished = _now()
+        record.finished = datetime.now(timezone.utc).isoformat()
         payload = asdict(record)
         if getattr(args, "out", None):
+            record_text = json.dumps(payload, indent=2) + "\n"
             if csv_text is not None:
-                write_json_atomic(args.out + ".json", payload)
-                write_text_atomic(args.out + ".csv", csv_text)
+                write_atomic(args.out + ".json", record_text)
+                write_atomic(args.out + ".csv", csv_text)
             else:
-                write_json_atomic(args.out, payload)
+                write_atomic(args.out, record_text)
         print(json.dumps(payload["outputs"], indent=2))
         return EXIT_OK
-    except _NUMERICAL_ERRORS as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except _USAGE_ERRORS as exc:
+    except (LandscapeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -5,11 +5,15 @@ class LandscapeError(Exception):
     """Base class for all package-specific failures."""
 
 
-class RankDeficient(LandscapeError):
+class NumericalError(LandscapeError):
+    """Base class for degenerate-data and numerical failures (CLI exit 2)."""
+
+
+class RankDeficient(NumericalError):
     """Linear system matrix lost row rank at the working tolerance."""
 
 
-class DegenerateInput(LandscapeError):
+class DegenerateInput(NumericalError):
     """Matrix handed to a null-space routine is not in generic position."""
 
 
@@ -21,7 +25,7 @@ class InstanceTooLarge(LandscapeError):
     """Exhaustive oracle asked to enumerate more subsets than its cap allows."""
 
 
-class DegenerateData(LandscapeError):
+class DegenerateData(NumericalError):
     """Dataset sits on a measure-zero configuration the construction cannot use."""
 
 
@@ -33,11 +37,11 @@ class TargetTooSmall(LandscapeError):
     """Requested hidden width is below the constructed width."""
 
 
-class ZeroVector(LandscapeError):
+class ZeroVector(NumericalError):
     """A vector required to be nonzero has zero norm."""
 
 
-class ZeroColumn(LandscapeError):
+class ZeroColumn(NumericalError):
     """A matrix column required to be nonzero has zero norm."""
 
 
@@ -45,7 +49,7 @@ class DomainError(LandscapeError):
     """Argument outside the mathematical domain of the evaluator."""
 
 
-class NonFinite(LandscapeError):
+class NonFinite(NumericalError):
     """Training loss became NaN or infinite."""
 
     def __init__(self, epoch, message=None):

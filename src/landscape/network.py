@@ -1,4 +1,4 @@
-"""One-hidden-layer leaky-ReLU network: forward pass, losses, patterns, gradients.
+"""One-hidden-layer leaky-ReLU network: forward pass, losses, slopes, gradients.
 
 evaluate and backward are the only places the forward and gradient math
 is written; every loss, trainer and stationarity check goes through them.
@@ -9,14 +9,11 @@ layer is W (d1, d0), the second z (d1,), and the unit is
 f(u) = u for u > 0 and rho * u for u < 0 with rho != 1.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeMismatch
-
-# Pre-activations within this band of zero are flagged as non-differentiable.
-DEFAULT_TAU = 1e-9
 
 
 @dataclass
@@ -74,20 +71,6 @@ class Dataset:
         return self.X.shape[0]
 
 
-@dataclass
-class ActivationPattern:
-    """Slope matrix A in {rho, 1}^(d1 x N) plus flags for near-zero pre-activations.
-
-    A zero pre-activation gets slope 1 and a raised flag: the activation
-    derivative is undefined there and callers may want to know.
-    """
-
-    A: np.ndarray
-    nondiff_mask: np.ndarray
-    rho: float
-    tau: float = field(default=DEFAULT_TAU)
-
-
 def lrelu(U, rho):
     """Elementwise leaky rectifier: u for u > 0, rho * u for u < 0, 0 at 0."""
     if rho == 1.0:
@@ -99,19 +82,6 @@ def lrelu(U, rho):
 def activation_slopes(P, rho):
     """Slope matrix of the rectifier at pre-activations P, with slope 1 at zero."""
     return np.where(np.asarray(P) >= 0.0, 1.0, rho)
-
-
-def activation_pattern(W, X, rho, tau=DEFAULT_TAU):
-    """Pattern a(WX) with entries in {rho, 1} and |WX| <= tau entries flagged."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    P = np.asarray(W, dtype=float) @ np.asarray(X, dtype=float)
-    return ActivationPattern(
-        A=activation_slopes(P, rho),
-        nondiff_mask=np.abs(P) <= tau,
-        rho=rho,
-        tau=tau,
-    )
 
 
 def evaluate(W, z, rho, X):

@@ -2,9 +2,8 @@
 
 A differentiable local minimum of the MSE must satisfy (A o X) e = 0 where
 A is the activation pattern, o the column-wise Kronecker product and e the
-residual.  This module measures that residual condition, tests membership
-in an open activation region, and provides the brute-force subset oracle
-for when the product A o X has full column rank.
+residual.  This module measures that residual condition and provides the
+brute-force subset oracle for when the product A o X has full column rank.
 """
 
 from dataclasses import dataclass
@@ -14,7 +13,10 @@ import numpy as np
 
 from .errors import InstanceTooLarge
 from .linalg import numerical_rank
-from .network import DEFAULT_TAU, activation_slopes, backward, evaluate, khatri_rao
+from .network import backward, evaluate, khatri_rao
+
+# Pre-activations within this band of zero count as boundary hits.
+DEFAULT_TAU = 1e-9
 
 # 2^22 subsets is the largest enumeration the oracle will attempt.
 MAX_ORACLE_SAMPLES = 22
@@ -40,18 +42,6 @@ def dlm_condition(params, data, tau=DEFAULT_TAU):
         min_neural_input=float(np.min(np.abs(P))) if P.size else float("inf"),
         boundary_hits=int(np.sum(np.abs(P) <= tau)),
     )
-
-
-def region_membership(W, X, pattern):
-    """True iff a(WX) reproduces the pattern exactly and no entry is on the boundary.
-
-    Activation regions are open sets, so a pre-activation within tau of
-    zero excludes membership regardless of the pattern.
-    """
-    P = np.asarray(W, dtype=float) @ np.asarray(X, dtype=float)
-    if np.any(np.abs(P) <= pattern.tau):
-        return False
-    return bool(np.array_equal(activation_slopes(P, pattern.rho), pattern.A))
 
 
 def rank_condition_oracle(A, X, rel_tol=1e-10):

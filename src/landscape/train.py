@@ -11,6 +11,7 @@ final phase decays the learning rate exponentially by a factor of 1000,
 and records the smallest |pre-activation| at the end.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -41,8 +42,8 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
         if self.batch is not None and self.batch < 1:
             raise ValueError("batch must be at least 1")
         if self.lr_decay_epochs < 0 or self.lr_decay_epochs > self.epochs:
@@ -107,6 +108,8 @@ def gen_gaussian_dataset(d0, N, seed):
 
 def he_init(d1, d0, seed, rho=0.0):
     """Uniform zero-mean weights with variance 2/fan-in per layer."""
+    if d1 < 1 or d0 < 1:
+        raise ValueError("d1 and d0 must be at least 1")
     rng = np.random.default_rng(seed)
     a_w = np.sqrt(6.0 / d0)
     a_z = np.sqrt(6.0 / d1)
@@ -210,6 +213,8 @@ def scan_overparam(d_values, N_factors, seeds, config):
     """
     if not d_values or not N_factors:
         raise ValueError("d_values and N_factors must be nonempty")
+    if seeds < 1:
+        raise ValueError("seeds must be at least 1")
     rows = []
     for ci, (d, f) in enumerate(product(d_values, N_factors)):
         N = max(1, round(f * d * d))

@@ -33,6 +33,22 @@ class MCEstimate:
     seed: int
 
 
+def _sign_region(X, signs, rows):
+    """Predicate of the open region where sign(W[:rows] X) equals signs.
+
+    A pattern region is open: any W with an exact zero pre-activation is
+    outside it, and so is every W when signs itself holds a zero.
+    """
+
+    def predicate(W):
+        P = W[:rows] @ X
+        if np.any(P == 0.0):
+            return False
+        return bool(np.array_equal(np.sign(P), signs))
+
+    return predicate
+
+
 @dataclass(frozen=True)
 class RegionSpec:
     """A weight-space region given by a pure predicate on W, plus its shape."""
@@ -40,26 +56,18 @@ class RegionSpec:
     d1: int
     d0: int
     predicate: Callable[[np.ndarray], bool]
-    kind: str = "custom"
 
     @classmethod
     def from_activation_pattern(cls, A, X):
         """Open region of W whose sign pattern over the columns of X matches A.
 
         A carries slope values, so entries equal to 1 mark positive
-        pre-activations; an exactly zero pre-activation is never a hit.
+        pre-activations and every other entry a negative one.
         """
         A = np.asarray(A, dtype=float)
         X = np.asarray(X, dtype=float)
-        positive = A == 1.0
-
-        def predicate(W):
-            P = W @ X
-            if np.any(P == 0.0):
-                return False
-            return bool(np.array_equal(P > 0.0, positive))
-
-        return cls(d1=A.shape[0], d0=X.shape[0], predicate=predicate, kind="activation_pattern")
+        signs = np.where(A == 1.0, 1.0, -1.0)
+        return cls(d1=A.shape[0], d0=X.shape[0], predicate=_sign_region(X, signs, A.shape[0]))
 
     @classmethod
     def from_sign_match(cls, X, Wstar, d1=None):
@@ -71,19 +79,12 @@ class RegionSpec:
             d1 = rows
         if d1 < rows:
             raise ValueError("d1 must cover every row of Wstar")
-        target = np.sign(Wstar @ X)
-
-        def predicate(W):
-            P = W[:rows] @ X
-            if np.any(P == 0.0):
-                return False
-            return bool(np.array_equal(np.sign(P), target))
-
-        return cls(d1=d1, d0=X.shape[0], predicate=predicate, kind="sign_match")
+        signs = np.sign(Wstar @ X)
+        return cls(d1=d1, d0=X.shape[0], predicate=_sign_region(X, signs, rows))
 
     @classmethod
     def custom(cls, predicate, d1, d0):
-        return cls(d1=d1, d0=d0, predicate=predicate, kind="custom")
+        return cls(d1=d1, d0=d0, predicate=predicate)
 
 
 def wilson_interval(hits, trials, z=_WILSON_Z):
@@ -183,6 +184,8 @@ def estimate_global_region_volume(X, Wstar, d1, trials, seed, workers=None):
 
 def estimate_orthant_probability(N, M, L, trials, seed, workers=None):
     """Probability that every entry of a Gaussian product C B is positive."""
+    if min(N, M, L) < 1:
+        raise ValueError("N, M and L must be at least 1")
 
     def trial(rng):
         C = rng.standard_normal((N, M))

@@ -238,6 +238,11 @@ class TestDichotomyCountBound:
         schlafli, _ = dichotomy_count_bound(1, 5)
         assert schlafli == 2
 
+    def test_loose_overflows_to_infinity(self):
+        schlafli, loose = dichotomy_count_bound(100_000, 400)
+        assert loose == math.inf
+        assert schlafli > 0
+
     def test_dimension_at_least_samples_gives_all(self):
         for N in (1, 2, 5, 9):
             schlafli, _ = dichotomy_count_bound(N, N)
@@ -288,6 +293,11 @@ class TestOrthantProbabilityBound:
     def test_alpha_at_most_one_rejected(self):
         with pytest.raises(DomainError):
             orthant_probability_log_bound(10, 2, 5)  # alpha = 1
+
+    @pytest.mark.parametrize("N, M, L", [(0, 1, 1), (1, 0, 1), (1, 1, 0), (-2, 1, 1)])
+    def test_counts_below_one_rejected(self, N, M, L):
+        with pytest.raises(DomainError, match="at least 1"):
+            orthant_probability_log_bound(N, M, L)
 
     def test_near_regime_boundary(self):
         value = orthant_probability_log_bound(100, 10, 11)
@@ -340,3 +350,8 @@ class TestBoundInputsValidation:
     def test_counts(self):
         with pytest.raises(DomainError):
             BoundInputs(N=0, d0=1, d1=1, epsilon=0.5)
+
+    @pytest.mark.parametrize("lim_ratio", [math.nan, math.inf, -0.5])
+    def test_lim_ratio_finite_and_nonnegative(self, lim_ratio):
+        with pytest.raises(DomainError):
+            BoundInputs(N=1, d0=1, d1=1, epsilon=0.5, lim_ratio=lim_ratio)

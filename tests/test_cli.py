@@ -1,20 +1,93 @@
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from landscape.cli import (
-    load_dataset_csv,
-    main,
-    read_run_record,
-    write_dataset_csv,
-    write_json_atomic,
-)
+from landscape import errors
+from landscape.cli import RunRecord, load_dataset_csv, main, write_dataset_csv
 from landscape.errors import DatasetFormatError, LabelDomainError
 from landscape.network import Dataset
 from landscape.train import gen_gaussian_dataset
+
+# Outputs objects recorded with the if/elif dispatcher these handlers replaced.
+PINNED_KIND_OUTPUTS = [
+    ("volume angular --d0 3 --d1 2 --n 4 --pattern-seed 3 --trials 3000 --seed 4",
+     {"bound": None,
+      "estimate": {"ci_high": 0.012273235183629263,
+                   "ci_low": 0.005650966062941269,
+                   "estimate": 0.008333333333333333,
+                   "hits": 25,
+                   "seed": 4,
+                   "trials": 3000}}),
+    ("volume global --d0 3 --d1star 2 --d1 3 --n 4 --pattern-seed 5 --trials 3000 --seed 6 "
+     "--workers 2",
+     {"bound": {"asymptotic_log": -14.644368640303018,
+                "lower_exact": 1.4386694263972264e-05,
+                "lower_log": -11.149206787988572,
+                "sin_alpha": 0.08709741215865166},
+      "estimate": {"ci_high": 0.004356803060841335,
+                   "ci_low": 0.000916930269583324,
+                   "estimate": 0.002,
+                   "hits": 6,
+                   "seed": 6,
+                   "trials": 3000}}),
+    ("volume orthant --n 4 --m 2 --l 3 --trials 2000 --seed 2",
+     {"alpha": 1.5,
+      "bound": {"log": -1.7706910715205144},
+      "estimate": {"ci_high": 0.005839153316432755,
+                   "ci_low": 0.0010683087284139143,
+                   "estimate": 0.0025,
+                   "hits": 5,
+                   "seed": 2,
+                   "trials": 2000}}),
+    ("volume coherence --m 50 --n 4 --eps 0.5 --trials 500 --seed 9",
+     {"bound": {"tail": 1.0},
+      "estimate": {"ci_high": 0.011240706705146758,
+                   "ci_low": 0.00035313639455927456,
+                   "estimate": 0.002,
+                   "hits": 1,
+                   "seed": 9,
+                   "trials": 500}}),
+    ("volume margin --d0 3 --d1star 1 --n 2 --sin-alpha 0.1 --pattern-seed 7 --trials 2000 "
+     "--seed 8",
+     {"bound": {"lower": 0.8},
+      "estimate": {"ci_high": 0.8256288730026965,
+                   "ci_low": 0.7911863917774892,
+                   "estimate": 0.809,
+                   "hits": 1618,
+                   "seed": 8,
+                   "trials": 2000}}),
+    ("bounds theta-star",
+     {"objective": 0.6482507605041872,
+      "psi": 0.11169386441686743,
+      "theta": 21.568877401493197}),
+    ("bounds gamma-eps --epsilon 0.1 --rho 0.2 --lim-ratio 0.3",
+     {"gamma_epsilon": 0.09323281068168537}),
+    ("bounds suboptimal --n 1000 --d0 10 --d1 20 --epsilon 0.1 --rho 0.0",
+     {"log": -27.351763645062587, "value": 1.3221477145668885e-12}),
+    ("bounds ratio --n 1000 --d0 10 --d1 20 --epsilon 0.1 --rho 0.3 --lim-ratio 0.05",
+     {"log": -27.351763645062587, "nlogn_companion": -282.53013659063697}),
+    ("bounds global-lower --d0 5 --d1star 3 --sin-alpha 0.2",
+     {"asymptotic_log": -24.141568686511505,
+      "exact": 2.159999999999999e-10,
+      "log": -22.255742708244384}),
+    ("bounds delta --d0 100 --n 10000",
+     {"delta": 0.16386884421315176}),
+    ("bounds dichotomy --n 30 --d0 4",
+     {"loose": 1620000.0, "schlafli": 8180}),
+    ("bounds coherence-tail --m 2000 --n 5 --eps 0.3",
+     {"tail": 0.027654218507391675}),
+    ("bounds orthant --n 4 --m 2 --l 3",
+     {"log": -1.7706910715205144}),
+    ("bounds beta --d0 3 --which lower --angle 0.5",
+     {"bound": 0.11492442353296504}),
+    ("bounds beta --d0 3 --which upper --u 0.2",
+     {"bound": 0.19999999999999987}),
+]
+
 
 
 def run_cli(*argv):
@@ -234,14 +307,66 @@ class TestVolumeCommands:
 
 class TestExitCodes:
     def test_linalg_error_exits_two(self, monkeypatch, capsys):
-        from landscape import cli
+        from landscape import bounds
 
-        def fail(args):
+        def fail():
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(cli, "cmd_bounds", fail)
+        monkeypatch.setattr(bounds, "find_theta_star", fail)
         assert run_cli("bounds", "theta-star") == 2
         assert "SVD did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cls", [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.LandscapeError)
+    ])
+    def test_every_package_error_has_one_exit_code(self, monkeypatch, capsys, cls):
+        from landscape import bounds
+
+        def fail():
+            raise cls(0) if cls is errors.NonFinite else cls("planted")
+
+        monkeypatch.setattr(bounds, "find_theta_star", fail)
+        expected = 2 if issubclass(cls, errors.NumericalError) else 1
+        assert run_cli("bounds", "theta-star") == expected
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param("volume orthant --n 0 --m 1 --l 1 --trials 10 --seed 1",
+                     id="volume-orthant-n0"),
+        pytest.param("bounds orthant --n 0 --m 1 --l 1", id="bounds-orthant-n0"),
+        pytest.param("bounds ratio --n 10 --d0 2 --d1 2 --epsilon 0.1 --rho 0.3 --lim-ratio nan",
+                     id="ratio-lim-ratio-nan"),
+        pytest.param("rank-oracle --d0 2 --d1 2 --n 3 --rho 1", id="rank-oracle-rho-one"),
+    ])
+    def test_bad_flags_exit_one_without_artifact(self, tmp_path, capsys, argv):
+        out = tmp_path / "never.json"
+        assert run_cli(*argv.split(), "--out", str(out)) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command, config", [
+        pytest.param("train", '{"dataset": {"d0": 0, "n": 4}, "epochs": 1}', id="train-d0-0"),
+        pytest.param("train", '{"dataset": {"d0": 3, "n": 4}, "d1": 0, "epochs": 1}',
+                     id="train-d1-0"),
+        pytest.param("train", '{"dataset": {"d0": "3", "n": 4}, "epochs": 1}',
+                     id="train-d0-string"),
+        pytest.param("train", '{"dataset": {"d0": 3, "n": 4}, "epochs": 1, "lr": NaN}',
+                     id="train-lr-nan"),
+        pytest.param("scan", '{"d_values": [0], "n_factors": [1.0], "seeds": 1, "epochs": 1}',
+                     id="scan-d-0"),
+        pytest.param("scan", '{"d_values": 4, "n_factors": [1.0], "seeds": 1, "epochs": 1}',
+                     id="scan-d-values-scalar"),
+        pytest.param("scan", '{"d_values": [4], "n_factors": [1.0], "seeds": 0, "epochs": 1}',
+                     id="scan-seeds-0"),
+    ])
+    def test_bad_config_exits_one_without_artifact(self, tmp_path, capsys, command, config):
+        path = tmp_path / "c.json"
+        path.write_text(config)
+        out = tmp_path / "never"
+        assert run_cli(command, "--config", str(path), "--out", str(out)) == 1
+        assert not (tmp_path / "never.json").exists() and not (tmp_path / "never.csv").exists()
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("command, config", [
         ("train", {"dataset": {"d0": 2, "n": 4}, "epochs": 1}),
@@ -293,6 +418,25 @@ class TestBoundsCommands:
         printed = json.loads(capsys.readouterr().out)
         assert printed["schlafli"] == 6 and printed["loose"] == 18.0
 
+    def test_dichotomy_loose_overflows_to_infinity(self, capsys):
+        rc = run_cli("bounds", "dichotomy", "--n", "100000", "--d0", "400")
+        assert rc == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["loose"] == math.inf and printed["schlafli"] > 0
+
+
+class TestPinnedKindOutputs:
+    @pytest.mark.parametrize("argv, expected", PINNED_KIND_OUTPUTS)
+    def test_outputs_match_recorded(self, tmp_path, argv, expected):
+        out = tmp_path / "record.json"
+        assert run_cli(*argv.split(), "--out", str(out)) == 0
+        record = json.load(open(out))
+        group, kind = argv.split()[:2]
+        assert record["command"] == f"{group} {kind}"
+        assert record["config"]["command"] == group
+        assert record["config"][f"{group}_kind"] == kind
+        assert record["outputs"] == expected
+
 
 class TestRankOracleCommand:
     def test_small_instance(self, tmp_path):
@@ -333,11 +477,5 @@ class TestReproducibility:
         out = tmp_path / "record.json"
         assert run_cli("bounds", "delta", "--d0", "10", "--n", "100",
                        "--out", str(out)) == 0
-        record = read_run_record(out)
-        rewritten = tmp_path / "rewritten.json"
-        write_json_atomic(rewritten, {
-            "command": record.command, "config": record.config, "seed": record.seed,
-            "started": record.started, "finished": record.finished,
-            "outputs": record.outputs,
-        })
-        assert json.load(open(out)) == json.load(open(rewritten))
+        written = json.load(open(out))
+        assert asdict(RunRecord(**written)) == written

@@ -7,7 +7,6 @@ from landscape.linalg import numerical_rank
 from landscape.network import (
     Dataset,
     NetParams,
-    activation_pattern,
     activation_slopes,
     forward,
     gradient,
@@ -17,6 +16,7 @@ from landscape.network import (
     mse,
     residual,
 )
+from landscape.volume import RegionSpec
 
 
 def _random_instance(rng, rho=None):
@@ -51,18 +51,18 @@ class TestLrelu:
 
 class TestActivationPattern:
     def test_signs(self):
-        p = activation_pattern(np.array([[1.0]]), np.array([[3.0, -3.0]]), rho=0.5)
-        np.testing.assert_array_equal(p.A, [[1.0, 0.5]])
-        assert not p.nondiff_mask.any()
+        A = activation_slopes(np.array([[1.0]]) @ np.array([[3.0, -3.0]]), 0.5)
+        np.testing.assert_array_equal(A, [[1.0, 0.5]])
 
     def test_boundary_flagged_and_assigned_one(self):
-        p = activation_pattern(np.array([[1.0]]), np.array([[0.0]]), rho=0.5)
-        np.testing.assert_array_equal(p.A, [[1.0]])
-        np.testing.assert_array_equal(p.nondiff_mask, [[True]])
+        W, X = np.array([[1.0]]), np.array([[0.0]])
+        A = activation_slopes(W @ X, 0.5)
+        np.testing.assert_array_equal(A, [[1.0]])
+        assert not RegionSpec.from_activation_pattern(A, X).predicate(W)
 
     def test_sign_pattern_identity_input(self):
-        p = activation_pattern(np.eye(2), np.array([[1.0, -1.0], [-1.0, 1.0]]), rho=0.0)
-        np.testing.assert_array_equal(p.A, [[1.0, 0.0], [0.0, 1.0]])
+        A = activation_slopes(np.eye(2) @ np.array([[1.0, -1.0], [-1.0, 1.0]]), 0.0)
+        np.testing.assert_array_equal(A, [[1.0, 0.0], [0.0, 1.0]])
 
 
 class TestForward:

@@ -9,12 +9,12 @@ from landscape.linalg import numerical_rank
 from landscape.network import (
     Dataset,
     NetParams,
-    activation_pattern,
     activation_slopes,
     khatri_rao,
 )
-from landscape.stationarity import dlm_condition, rank_condition_oracle, region_membership
+from landscape.stationarity import dlm_condition, rank_condition_oracle
 from landscape.train import TrainConfig, adam_train, gen_gaussian_dataset, he_init
+from landscape.volume import RegionSpec
 
 
 class TestDlmCondition:
@@ -56,36 +56,38 @@ class TestDlmCondition:
         assert report.min_neural_input == 0.0
 
 
+def _inside(W, X, A):
+    return RegionSpec.from_activation_pattern(A, X).predicate(W)
+
+
 class TestRegionMembership:
     def test_own_pattern_inside(self):
         rng = np.random.default_rng(6)
         W = rng.standard_normal((3, 4))
         X = rng.standard_normal((4, 7))
-        p = activation_pattern(W, X, rho=0.5)
-        assert region_membership(W, X, p)
+        assert _inside(W, X, activation_slopes(W @ X, 0.5))
 
     def test_flipped_entry_outside(self):
         rng = np.random.default_rng(7)
         W = rng.standard_normal((3, 4))
         X = rng.standard_normal((4, 7))
-        p = activation_pattern(W, X, rho=0.5)
-        p.A[1, 2] = 0.5 if p.A[1, 2] == 1.0 else 1.0
-        assert not region_membership(W, X, p)
+        A = activation_slopes(W @ X, 0.5)
+        A[1, 2] = 0.5 if A[1, 2] == 1.0 else 1.0
+        assert not _inside(W, X, A)
 
     def test_exact_zero_preactivation_excluded(self):
         W = np.array([[1.0, 0.0]])
         X = np.array([[0.0, 1.0], [1.0, 0.0]])  # first pre-activation exactly 0
-        p = activation_pattern(W, X, rho=0.5)
-        assert not region_membership(W, X, p)
+        assert not _inside(W, X, activation_slopes(W @ X, 0.5))
 
     def test_invariant_under_positive_row_scaling(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             W = rng.standard_normal((3, 4))
             X = rng.standard_normal((4, 6))
-            p = activation_pattern(W, X, rho=0.5)
+            A = activation_slopes(W @ X, 0.5)
             scales = rng.uniform(0.5, 4.0, size=(3, 1))
-            assert region_membership(scales * W, X, p)
+            assert _inside(scales * W, X, A)
 
 
 class TestRankConditionOracle:

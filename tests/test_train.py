@@ -51,6 +51,11 @@ class TestHeInit:
         assert abs(params.W.var() - 2.0 / 100) <= 0.1 * (2.0 / 100)
         assert abs(params.W.mean()) <= 4.0 * math.sqrt(2.0 / 100) / 100
 
+    @pytest.mark.parametrize("d1, d0", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_layer_rejected(self, d1, d0):
+        with pytest.raises(ValueError, match="at least 1"):
+            he_init(d1, d0, seed=0)
+
 
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
@@ -260,6 +265,10 @@ class TestScanOverparam:
         b = scan_overparam([4], [1.0], seeds=2, config=config)
         assert a == b
 
+    def test_zero_seeds_rejected(self):
+        with pytest.raises(ValueError, match="seeds"):
+            scan_overparam([4], [1.0], seeds=0, config=TrainConfig(epochs=1))
+
 
 class TestDlmDiagnostic:
     def test_rows_and_sample_count_formula(self):
@@ -295,3 +304,8 @@ class TestTrainConfigValidation:
     def test_bad_epochs(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -0.01])
+    def test_lr_positive_and_finite(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=lr)

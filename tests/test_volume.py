@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import margin_conditioned_columns, three_sigma
 from landscape.bounds import beta_angle_bounds
@@ -143,6 +145,11 @@ class TestOrthantProbability:
         est = estimate_orthant_probability(4, 2, 2, 2_000, seed=31)
         assert 0.0 <= est.estimate <= 1.0
 
+    @pytest.mark.parametrize("N, M, L", [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
+    def test_empty_factor_rejected(self, N, M, L):
+        with pytest.raises(ValueError, match="at least 1"):
+            estimate_orthant_probability(N, M, L, 10, seed=1)
+
 
 class TestCoherence:
     def test_orthogonal_columns(self):
@@ -191,6 +198,57 @@ class TestMarginProbability:
         est = estimate_margin_probability(Wstar, 1, 0.1, TRIALS, seed=59)
         lower = 1.0 - beta_angle_bounds(3, 0.1, "upper")
         assert est.estimate >= lower - three_sigma(0.9, TRIALS)
+
+
+@st.composite
+def _instances(draw):
+    """Gaussian (W, X) with d1 rows, d0 inputs and N samples; no pre-activation is zero."""
+    d1, d0, N = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal((d1, d0)), rng.standard_normal((d0, N)), rng
+
+
+class TestSignRegionRule:
+    """One boundary rule for every pattern region: open, so P == 0 is outside."""
+
+    @settings(deadline=None)
+    @given(_instances(), st.lists(st.floats(0.01, 100.0), min_size=4, max_size=4))
+    def test_positive_row_scaling_stays_inside(self, instance, factors):
+        W, X, _ = instance
+        region = RegionSpec.from_activation_pattern(activation_slopes(W @ X, 0.5), X)
+        scales = np.array(factors[:W.shape[0]])[:, None]
+        assert region.predicate(W)
+        assert region.predicate(scales * W)
+
+    @settings(deadline=None)
+    @given(_instances(), st.integers(0, 10**6))
+    def test_one_flipped_sign_is_outside(self, instance, pick):
+        W, X, _ = instance
+        A = activation_slopes(W @ X, 0.5)
+        i, n = np.unravel_index(pick % A.size, A.shape)
+        A[i, n] = 0.5 if A[i, n] == 1.0 else 1.0
+        assert not RegionSpec.from_activation_pattern(A, X).predicate(W)
+
+    @settings(deadline=None)
+    @given(_instances(), st.integers(0, 10**6))
+    def test_exact_zero_preactivation_is_outside(self, instance, pick):
+        W, X, _ = instance
+        W[pick % W.shape[0]] = 0.0
+        A = activation_slopes(W @ X, 0.5)  # slope 1 at the zeros
+        assert not RegionSpec.from_activation_pattern(A, X).predicate(W)
+        assert not RegionSpec.from_sign_match(X, W).predicate(W)
+
+    @settings(deadline=None)
+    @given(_instances())
+    def test_pattern_and_sign_match_constructors_agree(self, instance):
+        W0, X, rng = instance
+        by_pattern = RegionSpec.from_activation_pattern(activation_slopes(W0 @ X, 0.5), X)
+        by_sign = RegionSpec.from_sign_match(X, W0)
+        zero_row = W0.copy()
+        zero_row[0] = 0.0
+        for W in (W0, W0 + 0.3 * rng.standard_normal(W0.shape),
+                  rng.standard_normal(W0.shape), zero_row):
+            assert by_pattern.predicate(W) == by_sign.predicate(W)
 
 
 class TestTrialStreams:
