@@ -40,13 +40,12 @@ class BoundInputs:
     N: int
     d0: int
     d1: int
-    d1_star: int = 1
     epsilon: float = 0.1
     rho: float = 0.0
     lim_ratio: float = 0.0
 
     def __post_init__(self):
-        if min(self.N, self.d0, self.d1, self.d1_star) < 1:
+        if min(self.N, self.d0, self.d1) < 1:
             raise DomainError("counts must be at least 1")
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError("epsilon must lie in (0, 1)")
@@ -217,7 +216,13 @@ def dichotomy_count_bound(N, d0):
 
 
 def coherence_tail_bound(M, N, eps):
-    """min(1, 2 N^2 exp(-M eps^2 / 24)) bounding the coherence tail probability."""
+    """min(1, 2 N^2 exp(-M eps^2 / 24)) bounding the coherence tail probability.
+
+    Coherence compares distinct columns, so it needs M >= 1 rows and
+    N >= 2 columns.
+    """
+    if M < 1 or N < 2:
+        raise DomainError(f"need M >= 1 and N >= 2, got M = {M}, N = {N}")
     if not 0.0 < eps <= 1.0:
         raise DomainError("eps must lie in (0, 1]")
     log_value = math.log(2.0) + 2.0 * math.log(N) - M * eps * eps / 24.0

@@ -45,8 +45,8 @@ class ZeroColumn(NumericalError):
     """A matrix column required to be nonzero has zero norm."""
 
 
-class DomainError(LandscapeError):
-    """Argument outside the mathematical domain of the evaluator."""
+class DomainError(LandscapeError, ValueError):
+    """Argument outside the mathematical domain of the evaluator or estimator."""
 
 
 class NonFinite(NumericalError):

@@ -88,23 +88,24 @@ def evaluate(W, z, rho, X):
     """The network on the columns of X as (P, A, H, yhat).
 
     P = WX holds the pre-activations, A = a(P) the slopes (1 at zero),
-    H = P o A the hidden outputs and yhat = H^T z the outputs.
+    H = P o A the hidden outputs and yhat = H^T z the outputs.  Leading
+    axes of W, z and X, if any, index a stack of networks.
     """
     P = W @ X
     A = activation_slopes(P, rho)
     H = P * A
-    return P, A, H, H.T @ z
+    return P, A, H, (H.swapaxes(-1, -2) @ z[..., None])[..., 0]
 
 
 def backward(z, X, A, H, e):
     """MSE gradient (dW, dz) over the columns of X from evaluate's A, H and e = y - yhat.
 
     dW_i = -(2/N) z_i sum_n a_in e_n x_n and dz = -(2/N) H e, with slope 1
-    at zero pre-activations.
+    at zero pre-activations.  Leading axes index a stack, as in evaluate.
     """
-    scale = -2.0 / X.shape[1]
-    dz = scale * (H @ e)
-    dW = scale * ((z[:, None] * A * e[None, :]) @ X.T)
+    scale = -2.0 / X.shape[-1]
+    dz = scale * (H @ e[..., None])[..., 0]
+    dW = scale * ((z[..., :, None] * A * e[..., None, :]) @ X.swapaxes(-1, -2))
     return dW, dz
 
 

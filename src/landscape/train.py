@@ -12,7 +12,7 @@ and records the smallest |pre-activation| at the end.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -38,12 +38,28 @@ class TrainConfig:
     stop_on_zero_mce: bool = True
 
     def __post_init__(self):
+        counts = {"epochs": self.epochs, "lr_decay_epochs": self.lr_decay_epochs, "seed": self.seed}
+        if self.batch is not None:
+            counts["batch"] = self.batch
+        for name, value in counts.items():
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        for name in ("lr", "beta1", "beta2", "adam_eps", "rho"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float, np.number)) or isinstance(value, bool):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not isinstance(self.stop_on_zero_mce, bool):
+            raise TypeError(f"stop_on_zero_mce must be true or false, got {self.stop_on_zero_mce!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if not 0.0 < self.lr < math.inf:
             raise ValueError("lr must be positive and finite")
+        if not self.adam_eps > 0.0:
+            raise ValueError("adam_eps must be positive")
         if self.batch is not None and self.batch < 1:
             raise ValueError("batch must be at least 1")
         if self.lr_decay_epochs < 0 or self.lr_decay_epochs > self.epochs:
@@ -126,17 +142,35 @@ def adam_train(params, data, config):
     NonFinite
         If the epoch loss becomes NaN or infinite.
     """
-    X, y = data.X, data.y
-    N = data.n_samples
-    rho = params.rho
-    W = params.W.copy()
-    z = params.z.copy()
-    d1 = W.shape[0]
+    return _adam_train_stack([params], [data], config, [config.seed])[0]
+
+
+def _adam_train_stack(params, datasets, config, seeds):
+    """adam_train on S same-shape problems at once, one per seed; a list of its results.
+
+    Member s trains params[s] on datasets[s] with config and its seed set
+    to seeds[s], and ends exactly as a lone adam_train run would: every
+    operation acts on each member's slice alone.  The members sit on a
+    leading axis, so one mini-batch step is one round of numpy calls for
+    all of them; a member that stops early leaves the stack.
+    """
+    rho = params[0].rho
+    d1, d0 = params[0].W.shape
+    N = datasets[0].n_samples
+    size_W = d1 * d0
+    # each member's W and z are views of one row, and so are their
+    # gradients, so each Adam step is one pass over all the parameters
+    theta = np.stack([np.concatenate([p.W.ravel(), p.z]) for p in params])
+    grad = np.empty_like(theta)
+    # each epoch's shuffled samples, one row per sample, so that every
+    # mini-batch is a slice
+    X_perm = np.empty((len(params), N, d0))
+    y_perm = np.empty((len(params), N))
     batch = config.batch if config.batch is not None else max(1, min(N // 2, d1 // 2))
     batch = min(batch, N)
 
-    rng = np.random.default_rng(config.seed)
-    opt = Adam([W.shape, z.shape], config.lr, config.beta1, config.beta2, config.adam_eps)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    opt = Adam([theta.shape], config.lr, config.beta1, config.beta2, config.adam_eps)
     decay_start = config.epochs - config.lr_decay_epochs
     decay_q = (
         DECAY_TOTAL_FACTOR ** (1.0 / config.lr_decay_epochs)
@@ -145,37 +179,54 @@ def adam_train(params, data, config):
     )
 
     lr = config.lr
-    history = []
-    epochs_run = 0
+    members = list(range(len(params)))            # input index of each stack row
+    histories = [[] for _ in members]
+    results = [None for _ in members]
     for epoch in range(config.epochs):
         if epoch >= decay_start:
             lr *= decay_q
-        perm = rng.permutation(N)
+        W = theta[:, :size_W].reshape(-1, d1, d0)
+        z = theta[:, size_W:]
+        grad_W = grad[:, :size_W].reshape(-1, d1, d0)
+        grad_z = grad[:, size_W:]
+        for row, k in enumerate(members):
+            perm = rngs[k].permutation(N)
+            np.take(datasets[k].X.T, perm, axis=0, out=X_perm[row])
+            np.take(datasets[k].y, perm, out=y_perm[row])
         for start in range(0, N - batch + 1, batch):
-            cols = perm[start:start + batch]
-            Xb = X[:, cols]
+            Xb = X_perm[:, start:start + batch].swapaxes(1, 2)
             _, A, H, yhat = evaluate(W, z, rho, Xb)
-            d_W, d_z = opt.step(backward(z, Xb, A, H, y[cols] - yhat), lr=lr)
-            W += d_W
-            z += d_z
-        P, _, _, yhat = evaluate(W, z, rho, X)
-        epoch_mse = mean_square(y - yhat)
-        if not np.isfinite(epoch_mse):
-            raise NonFinite(epoch)
-        epoch_mce = misclassified(y, yhat)
-        history.append((epoch_mse, epoch_mce))
-        epochs_run = epoch + 1
-        if config.stop_on_zero_mce and epoch_mce == 0.0:
+            grad_W[...], grad_z[...] = backward(z, Xb, A, H, y_perm[:, start:start + batch] - yhat)
+            theta += opt.step([grad], lr=lr)[0]
+        stay = []
+        for row, k in enumerate(members):
+            data = datasets[k]
+            P, _, _, yhat = evaluate(W[row], z[row], rho, data.X)
+            epoch_mse = mean_square(data.y - yhat)
+            if not np.isfinite(epoch_mse):
+                raise NonFinite(epoch)
+            epoch_mce = misclassified(data.y, yhat)
+            histories[k].append((epoch_mse, epoch_mce))
+            if (config.stop_on_zero_mce and epoch_mce == 0.0) or epoch + 1 == config.epochs:
+                results[k] = (
+                    NetParams(W=W[row].copy(), z=z[row].copy(), rho=rho),
+                    TrainResult(
+                        final_mse=epoch_mse,
+                        final_mce=epoch_mce,
+                        min_neural_input=float(np.min(np.abs(P))),
+                        epochs_run=epoch + 1,
+                        history=histories[k],
+                    ),
+                )
+            else:
+                stay.append(row)
+        if not stay:
             break
-
-    result = TrainResult(
-        final_mse=history[-1][0],
-        final_mce=history[-1][1],
-        min_neural_input=float(np.min(np.abs(P))),
-        epochs_run=epochs_run,
-        history=history,
-    )
-    return NetParams(W=W, z=z, rho=rho), result
+        if len(stay) < len(members):
+            members = [members[row] for row in stay]
+            theta, grad, X_perm, y_perm = theta[stay], grad[stay], X_perm[stay], y_perm[stay]
+            opt.m[0], opt.v[0] = opt.m[0][stay], opt.v[0][stay]
+    return results
 
 
 def zca_whiten(X, eps=1e-5):
@@ -196,12 +247,13 @@ def zca_whiten(X, eps=1e-5):
     return T @ Xc, T
 
 
-def _run_cell(d, N, config, top_seed, tag, index):
-    data = gen_gaussian_dataset(d, N, derive_seed(top_seed, tag, index, 0))
-    params = he_init(d, d, derive_seed(top_seed, tag, index, 1), rho=config.rho)
-    run_config = replace(config, seed=derive_seed(top_seed, tag, index, 2))
-    _, result = adam_train(params, data, run_config)
-    return result
+def _run_cell(d, N, config, top_seed, tag, seeds):
+    """Train seeds fresh d-by-d problems on N samples as one stack; their TrainResults."""
+    indices = range(seeds)
+    datasets = [gen_gaussian_dataset(d, N, derive_seed(top_seed, tag, i, 0)) for i in indices]
+    params = [he_init(d, d, derive_seed(top_seed, tag, i, 1), rho=config.rho) for i in indices]
+    run_seeds = [derive_seed(top_seed, tag, i, 2) for i in indices]
+    return [result for _, result in _adam_train_stack(params, datasets, config, run_seeds)]
 
 
 def scan_overparam(d_values, N_factors, seeds, config):
@@ -218,8 +270,8 @@ def scan_overparam(d_values, N_factors, seeds, config):
     rows = []
     for ci, (d, f) in enumerate(product(d_values, N_factors)):
         N = max(1, round(f * d * d))
-        cell_mces = np.array([_run_cell(d, N, config, config.seed, f"scan-{ci}", s).final_mce
-                              for s in range(seeds)])
+        cell_mces = np.array([result.final_mce
+                              for result in _run_cell(d, N, config, config.seed, f"scan-{ci}", seeds)])
         rows.append({
             "d": d,
             "N": N,
@@ -240,9 +292,6 @@ def dlm_diagnostic(d, seeds, config):
     if d < 4:
         raise ValueError("d must be at least 4")
     N = d * d // 5
-    rows = []
-    for s in range(seeds):
-        result = _run_cell(d, N, config, config.seed, "diagnostic", s)
-        rows.append({"seed_index": s, "min_neural_input": result.min_neural_input,
-                     "final_mse": result.final_mse})
-    return rows
+    results = _run_cell(d, N, config, config.seed, "diagnostic", seeds)
+    return [{"seed_index": s, "min_neural_input": result.min_neural_input,
+             "final_mse": result.final_mse} for s, result in enumerate(results)]

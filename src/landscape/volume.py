@@ -1,12 +1,20 @@
 """Seeded Monte Carlo estimators for angular volumes and related probabilities.
 
-Every estimator derives one counter-based random stream per trial (Philox
-keyed by (seed, trial index)), so the hit count is independent of how
-trials are distributed over workers: serial and parallel runs agree bit
+The unit of randomness and of work is a block of trials.  A block holds
+as many trials as fit in a fixed number of Gaussian values (at least
+one), draws them as one array of shape (n, ...) from its own
+counter-based stream (Philox keyed by (seed, block index)), and the
+event is evaluated on the whole stack at once.  Blocks depend only on
+(seed, trials, draw shape), so the hit count is independent of how
+blocks are distributed over workers: serial and parallel runs agree bit
 for bit.  Intervals are 95% Wilson, which stays sensible when the hit
 probability is near 0 or 1.
+
+Every event formula broadcasts over leading axes, so the same code
+answers for one matrix and for a stack of them.
 """
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -14,11 +22,17 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ZeroColumn
+from .errors import DomainError, ZeroColumn
 
 _WILSON_Z = 1.959963984540054  # 97.5% standard normal quantile
 
 _MASK64 = (1 << 64) - 1
+
+# Gaussian values one block draws, unless a single trial needs more: 64 KiB
+# of float64, so a block's temporaries stay small beside the process, while
+# the per-block cost (a fresh Philox stream, a few numpy calls) is spread
+# over hundreds of trials at the light shapes.
+_BLOCK_VALUES = 1 << 13
 
 WORKERS_ENV = "LANDSCAPE_THREADS"
 
@@ -33,29 +47,42 @@ class MCEstimate:
     seed: int
 
 
+def _require_positive(**counts):
+    """Reject a zero or negative size before any draw: batched code never sees an empty axis."""
+    for name, value in counts.items():
+        if value < 1:
+            raise DomainError(f"{name} must be at least 1, got {value}")
+
+
 def _sign_region(X, signs, rows):
-    """Predicate of the open region where sign(W[:rows] X) equals signs.
+    """Predicate of the open region where sign(W[..., :rows, :] X) equals signs.
 
     A pattern region is open: any W with an exact zero pre-activation is
-    outside it, and so is every W when signs itself holds a zero.
+    outside it, and so is every W when signs itself holds a zero.  W may
+    be one matrix or a stack; the result is one bool per matrix.
     """
 
     def predicate(W):
-        P = W[:rows] @ X
-        if np.any(P == 0.0):
-            return False
-        return bool(np.array_equal(np.sign(P), signs))
+        P = W[..., :rows, :] @ X
+        return np.all((P != 0.0) & (np.sign(P) == signs), axis=(-2, -1))
 
     return predicate
 
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """A weight-space region given by a pure predicate on W, plus its shape."""
+    """A weight-space region given by a pure predicate on W, plus its shape.
+
+    The predicate maps a d1 x d0 matrix, or a stack of shape (..., d1, d0),
+    to one bool per matrix.
+    """
 
     d1: int
     d0: int
-    predicate: Callable[[np.ndarray], bool]
+    predicate: Callable[[np.ndarray], np.ndarray]
+
+    def __post_init__(self):
+        _require_positive(d1=self.d1, d0=self.d0)
 
     @classmethod
     def from_activation_pattern(cls, A, X):
@@ -66,6 +93,7 @@ class RegionSpec:
         """
         A = np.asarray(A, dtype=float)
         X = np.asarray(X, dtype=float)
+        _require_positive(N=X.shape[1])
         signs = np.where(A == 1.0, 1.0, -1.0)
         return cls(d1=A.shape[0], d0=X.shape[0], predicate=_sign_region(X, signs, A.shape[0]))
 
@@ -75,6 +103,7 @@ class RegionSpec:
         X = np.asarray(X, dtype=float)
         Wstar = np.asarray(Wstar, dtype=float)
         rows = Wstar.shape[0]
+        _require_positive(rows=rows, N=X.shape[1])
         if d1 is None:
             d1 = rows
         if d1 < rows:
@@ -84,7 +113,14 @@ class RegionSpec:
 
     @classmethod
     def custom(cls, predicate, d1, d0):
-        return cls(d1=d1, d0=d0, predicate=predicate)
+        """Region of a scalar predicate on one d1 x d0 matrix, applied to each matrix of a stack."""
+
+        def batched(W):
+            W = np.asarray(W)
+            stack = W.reshape(-1, *W.shape[-2:])
+            return np.fromiter(map(predicate, stack), bool, len(stack)).reshape(W.shape[:-2])
+
+        return cls(d1=d1, d0=d0, predicate=batched)
 
 
 def wilson_interval(hits, trials, z=_WILSON_Z):
@@ -107,53 +143,46 @@ def resolve_workers(workers=None):
     return os.cpu_count() or 1
 
 
-def trial_rng(seed, index):
-    """Independent generator for one trial, keyed by (seed, trial index)."""
-    key = np.array([seed & _MASK64, index], dtype=np.uint64)
+def block_rng(seed, block):
+    """Independent generator for one block of trials, keyed by (seed, block index)."""
+    key = np.array([seed & _MASK64, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _pool_size(workers, trials, cpus):
-    """Threads for a count: no more than asked for, than CPUs or than trials."""
-    return max(1, min(workers, cpus or 1, trials))
+def _pool_size(workers, blocks, cpus):
+    """Threads for a count: no more than asked for, than CPUs or than blocks."""
+    return max(1, min(workers, cpus or 1, blocks))
 
 
-def _count_hits(trial, trials, seed, workers):
-    def run_range(lo, hi):
-        # chunk-local generator re-keyed per trial: same stream as
-        # trial_rng(seed, i) but without the per-trial construction cost
-        bitgen = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
-        rng = np.random.Generator(bitgen)
-        template = bitgen.state
-        zeros = np.zeros(4, dtype=np.uint64)
+def _count_hits(event, shape, trials, seed, workers):
+    """Hits of event over trials Gaussian draws of shape, drawn and tested block by block."""
+    values = math.prod(shape)
+    size = max(1, _BLOCK_VALUES // values)
+    blocks = -(-trials // size)
+
+    def run_blocks(lo, hi):
         hits = 0
-        for i in range(lo, hi):
-            state = dict(template)
-            state["state"] = {"counter": zeros,
-                              "key": np.array([seed & _MASK64, i], dtype=np.uint64)}
-            state["buffer_pos"] = 4
-            state["has_uint32"] = 0
-            state["uinteger"] = 0
-            bitgen.state = state
-            if trial(rng):
-                hits += 1
+        for b in range(lo, hi):
+            n = min(size, trials - b * size)
+            hits += int(np.count_nonzero(event(block_rng(seed, b).standard_normal((n, *shape)))))
         return hits
 
-    workers = _pool_size(resolve_workers(workers), trials, os.cpu_count())
-    if workers <= 1 or trials < 2 * workers:
-        return run_range(0, trials)
-    # contiguous chunks; summation order does not affect the integer total
-    n_chunks = min(trials, workers * 4)
-    edges = np.linspace(0, trials, n_chunks + 1, dtype=int)
+    workers = _pool_size(resolve_workers(workers), blocks, os.cpu_count())
+    # Threads pay only when one trial outgrows a block: a block of light
+    # trials is a few short numpy calls that two threads cannot overlap
+    # under the GIL (0.7-1.1x on 2 cores, against 1.1-1.6x from 10^4 values
+    # per trial on).
+    if workers <= 1 or values <= _BLOCK_VALUES:
+        return run_blocks(0, blocks)
+    # contiguous runs of blocks; summation order does not affect the integer total
+    edges = np.linspace(0, blocks, min(blocks, 4 * workers) + 1, dtype=int)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(run_range, edges[:-1], edges[1:])
-        return sum(parts)
+        return sum(pool.map(run_blocks, edges[:-1], edges[1:]))
 
 
-def _estimate(trial, trials, seed, workers):
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    hits = _count_hits(trial, trials, seed, workers)
+def _estimate(event, shape, trials, seed, workers):
+    _require_positive(trials=trials)
+    hits = _count_hits(event, shape, trials, seed, workers)
     lo, hi = wilson_interval(hits, trials)
     return MCEstimate(
         hits=hits,
@@ -167,13 +196,7 @@ def _estimate(trial, trials, seed, workers):
 
 def estimate_angular_volume(region, trials, seed, workers=None):
     """Probability that a standard Gaussian weight matrix lands in the region."""
-    shape = (region.d1, region.d0)
-    predicate = region.predicate
-
-    def trial(rng):
-        return predicate(rng.standard_normal(shape))
-
-    return _estimate(trial, trials, seed, workers)
+    return _estimate(region.predicate, (region.d1, region.d0), trials, seed, workers)
 
 
 def estimate_global_region_volume(X, Wstar, d1, trials, seed, workers=None):
@@ -182,53 +205,64 @@ def estimate_global_region_volume(X, Wstar, d1, trials, seed, workers=None):
     return estimate_angular_volume(region, trials, seed, workers)
 
 
+def _orthant(C, B):
+    """Whether every entry of C B is positive, per matrix pair of the leading axes."""
+    return np.all(C @ B > 0.0, axis=(-2, -1))
+
+
 def estimate_orthant_probability(N, M, L, trials, seed, workers=None):
     """Probability that every entry of a Gaussian product C B is positive."""
-    if min(N, M, L) < 1:
-        raise ValueError("N, M and L must be at least 1")
+    _require_positive(N=N, M=M, L=L)
+    split = N * M
 
-    def trial(rng):
-        C = rng.standard_normal((N, M))
-        B = rng.standard_normal((M, L))
-        return bool(np.all(C @ B > 0.0))
+    def event(Z):
+        return _orthant(Z[:, :split].reshape(-1, N, M), Z[:, split:].reshape(-1, M, L))
 
-    return _estimate(trial, trials, seed, workers)
+    return _estimate(event, (split + M * L,), trials, seed, workers)
 
 
 def coherence(A):
-    """Largest |cosine| between two distinct columns of A."""
+    """Largest |cosine| between two distinct columns of A, per matrix of the leading axes."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[1] < 2:
+    if A.ndim < 2 or A.shape[-1] < 2:
         raise ValueError("coherence needs a matrix with at least two columns")
-    norms = np.linalg.norm(A, axis=0)
+    G = np.swapaxes(A, -1, -2) @ A
+    diagonal = np.arange(A.shape[-1])
+    norms = np.sqrt(G[..., diagonal, diagonal])
     if np.any(norms == 0.0):
         raise ZeroColumn("coherence undefined with a zero column")
-    G = np.abs((A / norms).T @ (A / norms))
-    np.fill_diagonal(G, 0.0)
-    return float(np.max(G))
+    cosines = np.abs(G) / (norms[..., :, None] * norms[..., None, :])
+    cosines[..., diagonal, diagonal] = 0.0
+    return np.max(cosines, axis=(-2, -1))
 
 
 def estimate_coherence_tail(M, N, eps, trials, seed, workers=None):
     """Fraction of Gaussian M x N draws whose column coherence exceeds eps."""
+    if M < 1 or N < 2:
+        raise DomainError(f"need M >= 1 and N >= 2, got M = {M}, N = {N}")
 
-    def trial(rng):
-        return coherence(rng.standard_normal((M, N))) > eps
+    def event(A):
+        return coherence(A) > eps
 
-    return _estimate(trial, trials, seed, workers)
+    return _estimate(event, (M, N), trials, seed, workers)
+
+
+def _margin(U, X):
+    """Smallest |cosine| between a row of U (unit rows) and a column of X, per X of a stack."""
+    return np.min(np.abs(U @ X) / np.linalg.norm(X, axis=-2)[..., None, :], axis=(-2, -1))
 
 
 def estimate_margin_probability(Wstar, N, sin_alpha, trials, seed, workers=None):
     """Fraction of Gaussian d0 x N draws with angular margin above sin_alpha."""
     Wstar = np.asarray(Wstar, dtype=float)
-    d0 = Wstar.shape[1]
+    rows, d0 = Wstar.shape
+    _require_positive(rows=rows, d0=d0, N=N)
     row_norms = np.linalg.norm(Wstar, axis=1)
     if np.any(row_norms == 0.0):
         raise ZeroColumn("margin undefined with a zero weight row")
     U = Wstar / row_norms[:, None]
 
-    def trial(rng):
-        X = rng.standard_normal((d0, N))
-        C = np.abs(U @ X) / np.linalg.norm(X, axis=0)
-        return bool(np.min(C) > sin_alpha)
+    def event(X):
+        return _margin(U, X) > sin_alpha
 
-    return _estimate(trial, trials, seed, workers)
+    return _estimate(event, (d0, N), trials, seed, workers)

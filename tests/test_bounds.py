@@ -283,6 +283,11 @@ class TestCoherenceTailBound:
             for eps in (0.01, 0.5, 1.0):
                 assert 0.0 <= coherence_tail_bound(M, 7, eps) <= 1.0
 
+    @pytest.mark.parametrize("M, N", [(0, 5), (10, 0), (10, 1)])
+    def test_empty_shape_rejected(self, M, N):
+        with pytest.raises(DomainError, match="N >= 2"):
+            coherence_tail_bound(M, N, 0.5)
+
 
 class TestOrthantProbabilityBound:
     def test_hand_value(self):

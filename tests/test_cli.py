@@ -12,14 +12,15 @@ from landscape.errors import DatasetFormatError, LabelDomainError
 from landscape.network import Dataset
 from landscape.train import gen_gaussian_dataset
 
-# Outputs objects recorded with the if/elif dispatcher these handlers replaced.
+# Outputs objects recorded with the if/elif dispatcher these handlers replaced;
+# the volume entries are recorded under the per-block Monte Carlo streams.
 PINNED_KIND_OUTPUTS = [
     ("volume angular --d0 3 --d1 2 --n 4 --pattern-seed 3 --trials 3000 --seed 4",
      {"bound": None,
-      "estimate": {"ci_high": 0.012273235183629263,
-                   "ci_low": 0.005650966062941269,
-                   "estimate": 0.008333333333333333,
-                   "hits": 25,
+      "estimate": {"ci_high": 0.02190440564666782,
+                   "ci_low": 0.012665148121147283,
+                   "estimate": 0.016666666666666666,
+                   "hits": 50,
                    "seed": 4,
                    "trials": 3000}}),
     ("volume global --d0 3 --d1star 2 --d1 3 --n 4 --pattern-seed 5 --trials 3000 --seed 6 "
@@ -28,19 +29,19 @@ PINNED_KIND_OUTPUTS = [
                 "lower_exact": 1.4386694263972264e-05,
                 "lower_log": -11.149206787988572,
                 "sin_alpha": 0.08709741215865166},
-      "estimate": {"ci_high": 0.004356803060841335,
-                   "ci_low": 0.000916930269583324,
-                   "estimate": 0.002,
-                   "hits": 6,
+      "estimate": {"ci_high": 0.0038958152886360608,
+                   "ci_low": 0.0007121039409388158,
+                   "estimate": 0.0016666666666666668,
+                   "hits": 5,
                    "seed": 6,
                    "trials": 3000}}),
     ("volume orthant --n 4 --m 2 --l 3 --trials 2000 --seed 2",
      {"alpha": 1.5,
       "bound": {"log": -1.7706910715205144},
-      "estimate": {"ci_high": 0.005839153316432755,
-                   "ci_low": 0.0010683087284139143,
-                   "estimate": 0.0025,
-                   "hits": 5,
+      "estimate": {"ci_high": 0.007873464296037741,
+                   "ci_low": 0.0020282466069651696,
+                   "estimate": 0.004,
+                   "hits": 8,
                    "seed": 2,
                    "trials": 2000}}),
     ("volume coherence --m 50 --n 4 --eps 0.5 --trials 500 --seed 9",
@@ -54,10 +55,10 @@ PINNED_KIND_OUTPUTS = [
     ("volume margin --d0 3 --d1star 1 --n 2 --sin-alpha 0.1 --pattern-seed 7 --trials 2000 "
      "--seed 8",
      {"bound": {"lower": 0.8},
-      "estimate": {"ci_high": 0.8256288730026965,
-                   "ci_low": 0.7911863917774892,
-                   "estimate": 0.809,
-                   "hits": 1618,
+      "estimate": {"ci_high": 0.82129018987769,
+                   "ci_low": 0.786542328328027,
+                   "estimate": 0.8045,
+                   "hits": 1609,
                    "seed": 8,
                    "trials": 2000}}),
     ("bounds theta-star",
@@ -345,6 +346,29 @@ class TestExitCodes:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param("volume coherence --m 0 --n 3 --eps 0.5 --trials 10 --seed 1",
+                     id="volume-coherence-m0"),
+        pytest.param("bounds coherence-tail --m 10 --n 0 --eps 0.5", id="bounds-coherence-tail-n0"),
+        pytest.param("volume margin --d0 3 --d1star 1 --n 0 --sin-alpha 0.1 --trials 10 --seed 1",
+                     id="volume-margin-n0"),
+        pytest.param("volume global --d0 3 --d1star 2 --n 0 --trials 10 --seed 1",
+                     id="volume-global-n0"),
+        pytest.param("volume angular --d0 0 --d1 2 --n 4 --trials 10 --seed 1",
+                     id="volume-angular-d0-0"),
+        pytest.param("volume angular --d0 3 --d1 2 --n 0 --trials 10 --seed 1",
+                     id="volume-angular-n0"),
+    ])
+    def test_empty_shape_exits_one_before_any_draw(self, tmp_path, capsys, monkeypatch, argv):
+        from landscape import volume
+
+        monkeypatch.setattr(volume, "block_rng", None)   # a Monte Carlo draw would raise TypeError
+        out = tmp_path / "never.json"
+        assert run_cli(*argv.split(), "--out", str(out)) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("at least 1" in err or "N >= 2" in err), err
+
     @pytest.mark.parametrize("command, config", [
         pytest.param("train", '{"dataset": {"d0": 0, "n": 4}, "epochs": 1}', id="train-d0-0"),
         pytest.param("train", '{"dataset": {"d0": 3, "n": 4}, "d1": 0, "epochs": 1}',
@@ -359,6 +383,14 @@ class TestExitCodes:
                      id="scan-d-values-scalar"),
         pytest.param("scan", '{"d_values": [4], "n_factors": [1.0], "seeds": 0, "epochs": 1}',
                      id="scan-seeds-0"),
+        pytest.param("train", '{"dataset": {"d0": 3, "n": 4}, "epochs": 1, "seed": "3"}',
+                     id="train-seed-string"),
+        pytest.param("train", '{"dataset": {"d0": 3, "n": 4}, "epochs": 1.5}',
+                     id="train-epochs-float"),
+        pytest.param("train", '{"dataset": {"d0": 3, "n": 4}, "epochs": 1, "batch": 2.5}',
+                     id="train-batch-float"),
+        pytest.param("train", '{"dataset": {"d0": 3, "n": 4}, "epochs": 1, "adam_eps": NaN}',
+                     id="train-adam-eps-nan"),
     ])
     def test_bad_config_exits_one_without_artifact(self, tmp_path, capsys, command, config):
         path = tmp_path / "c.json"

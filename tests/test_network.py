@@ -8,6 +8,8 @@ from landscape.network import (
     Dataset,
     NetParams,
     activation_slopes,
+    backward,
+    evaluate,
     forward,
     gradient,
     khatri_rao,
@@ -168,6 +170,26 @@ class TestGradient:
             num = np.sqrt(np.sum((gW - dW) ** 2) + np.sum((gz - dz) ** 2))
             den = np.sqrt(np.sum(dW ** 2) + np.sum(dz ** 2))
             assert num <= 1e-5 * den
+
+
+class TestStacks:
+    def test_evaluate_and_backward_match_each_slice(self):
+        # a stack of networks along a leading axis gives each network's
+        # own outputs and gradient bit for bit
+        rng = np.random.default_rng(12)
+        for S, d1, d0, N in [(1, 4, 3, 5), (3, 7, 5, 2), (5, 30, 30, 15), (2, 1, 6, 1)]:
+            W = rng.standard_normal((S, d1, d0))
+            z = rng.standard_normal((S, d1))
+            X = rng.standard_normal((S, N, d0)).swapaxes(1, 2)
+            e = rng.standard_normal((S, N))
+            P, A, H, yhat = evaluate(W, z, 0.2, X)
+            dW, dz = backward(z, X, A, H, e)
+            for s in range(S):
+                P_s, A_s, H_s, yhat_s = evaluate(W[s], z[s], 0.2, X[s])
+                dW_s, dz_s = backward(z[s], X[s], A_s, H_s, e[s])
+                for stacked, alone in [(P[s], P_s), (A[s], A_s), (H[s], H_s), (yhat[s], yhat_s),
+                                       (dW[s], dW_s), (dz[s], dz_s)]:
+                    np.testing.assert_array_equal(stacked, alone)
 
 
 class TestStructuralIdentities:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from landscape.stationarity import dlm_condition
 from landscape.train import (
     Adam,
     TrainConfig,
+    _adam_train_stack,
     adam_train,
     derive_seed,
     dlm_diagnostic,
@@ -150,6 +152,50 @@ class TestAdamTrain:
             mse_series = [m for m, _ in result.history]
             wins += mse_series[-1] <= mse_series[299]
         assert wins >= 4
+
+
+class TestStackedTraining:
+    """Training a stack of seeds gives each seed's lone adam_train result bit for bit."""
+
+    def _members(self, seeds, rho):
+        datasets = [gen_gaussian_dataset(6, 20, seed=40 + s) for s in seeds]
+        params = [he_init(6, 6, seed=50 + s, rho=rho) for s in seeds]
+        return params, datasets, [60 + s for s in seeds]
+
+    def _assert_same(self, stacked, alone):
+        (trained, res), (trained_alone, res_alone) = stacked, alone
+        np.testing.assert_array_equal(trained.W, trained_alone.W)
+        np.testing.assert_array_equal(trained.z, trained_alone.z)
+        assert res.history == res_alone.history
+        assert res.min_neural_input == res_alone.min_neural_input
+        assert res.epochs_run == res_alone.epochs_run
+
+    def test_members_that_stop_early_leave_the_stack_unchanged(self):
+        # these four members stop at epochs 300 (the budget), 74, 54 and 148
+        config = TrainConfig(epochs=300, lr=0.01, rho=0.1)
+        params, datasets, seeds = self._members(range(4), rho=0.1)
+        stacked = _adam_train_stack(params, datasets, config, seeds)
+        runs = [r.epochs_run for _, r in stacked]
+        assert len(set(runs)) == 4 and max(runs) == 300
+        for k in range(4):
+            alone = adam_train(params[k], datasets[k], replace(config, seed=seeds[k]))
+            self._assert_same(stacked[k], alone)
+
+    def test_decay_phase_without_early_stop(self):
+        config = TrainConfig(epochs=60, lr=0.02, lr_decay_epochs=30, rho=0.0, batch=4,
+                             stop_on_zero_mce=False)
+        params, datasets, seeds = self._members(range(3), rho=0.0)
+        stacked = _adam_train_stack(params, datasets, config, seeds)
+        for k in range(3):
+            alone = adam_train(params[k], datasets[k], replace(config, seed=seeds[k]))
+            self._assert_same(stacked[k], alone)
+
+    def test_non_finite_member_raises(self):
+        config = TrainConfig(epochs=50, lr=1e200, stop_on_zero_mce=False)
+        params, datasets, seeds = self._members(range(2), rho=0.0)
+        with np.errstate(all="ignore"), pytest.raises(NonFinite) as info:
+            _adam_train_stack(params, datasets, config, seeds)
+        assert info.value.epoch == 0
 
 
 def _digest(*arrays):
@@ -309,3 +355,18 @@ class TestTrainConfigValidation:
     def test_lr_positive_and_finite(self, lr):
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(lr=lr)
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("seed", "3", TypeError),
+        ("epochs", 1.5, TypeError),
+        ("batch", 2.5, TypeError),
+        ("lr_decay_epochs", True, TypeError),
+        ("beta1", "0.9", TypeError),
+        ("stop_on_zero_mce", "yes", TypeError),
+        ("adam_eps", math.nan, ValueError),
+        ("adam_eps", 0.0, ValueError),
+        ("rho", math.inf, ValueError),
+    ])
+    def test_field_types(self, field, value, error):
+        with pytest.raises(error, match=field):
+            TrainConfig(**{field: value})

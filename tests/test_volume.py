@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from _oracles import margin_conditioned_columns, three_sigma
 from landscape.bounds import beta_angle_bounds
-from landscape.errors import ZeroColumn
+from landscape import volume
+from landscape.errors import DomainError, ZeroColumn
 from landscape.network import activation_slopes
 from landscape.volume import (
     MCEstimate,
@@ -18,7 +20,7 @@ from landscape.volume import (
     estimate_global_region_volume,
     estimate_margin_probability,
     estimate_orthant_probability,
-    trial_rng,
+    block_rng,
     wilson_interval,
 )
 
@@ -251,22 +253,184 @@ class TestSignRegionRule:
             assert by_pattern.predicate(W) == by_sign.predicate(W)
 
 
-class TestTrialStreams:
-    def test_trial_rng_is_reproducible_and_distinct(self):
-        a = trial_rng(5, 0).standard_normal(4)
-        b = trial_rng(5, 0).standard_normal(4)
-        c = trial_rng(5, 1).standard_normal(4)
+class TestBlockStreams:
+    def test_block_rng_is_reproducible_and_distinct(self):
+        a = block_rng(5, 0).standard_normal(4)
+        b = block_rng(5, 0).standard_normal(4)
+        c = block_rng(5, 1).standard_normal(4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_hits_follow_block_draws(self):
+        # the per-trial loop over each block's one array draw is the reference
+        trials, size = 20_000, volume._BLOCK_VALUES // 2
+        hits = 0
+        for b in range(-(-trials // size)):
+            n = min(size, trials - b * size)
+            for C, B in block_rng(61, b).standard_normal((n, 2)):
+                hits += C * B > 0.0
+        assert estimate_orthant_probability(1, 1, 1, trials, seed=61).hits == hits
 
-def test_pool_size_clamps_to_cpus_and_trials():
+    def test_coherence_block_stays_under_draw_cap(self):
+        # one M = 2000, N = 5 trial draws 10^4 values, more than a block's
+        # cap, so each block holds that one trial; 64-trial blocks would
+        # peak above 5 MB
+        M, N = 2000, 5
+        estimate_coherence_tail(M, N, 0.3, 1, seed=67, workers=1)   # first-call set-up
+        tracemalloc.start()
+        try:
+            estimate_coherence_tail(M, N, 0.3, 64, seed=67, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * M * N
+
+
+def _stack(draw, rows, cols):
+    """A (B, rows, cols) Gaussian stack, some matrices with an exact-zero row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.standard_normal((draw(st.integers(1, 6)), rows, cols))
+    for k in draw(st.lists(st.integers(0, stack.shape[0] - 1), max_size=3)):
+        stack[k, draw(st.integers(0, rows - 1))] = 0.0
+    return stack, rng
+
+
+@st.composite
+def _region_stacks(draw):
+    d1, d0, N = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    stack, rng = _stack(draw, d1, d0)
+    X = rng.standard_normal((d0, N))
+    W0 = rng.standard_normal((d1, d0))
+    x = rng.standard_normal(d0)
+    regions = [
+        RegionSpec.from_activation_pattern(activation_slopes(W0 @ X, 0.5), X),
+        RegionSpec.from_sign_match(X, W0[:max(1, d1 - 1)], d1=d1),
+        RegionSpec.custom(lambda W: bool(W[0] @ x > 0.0), d1=d1, d0=d0),
+    ]
+    return stack, regions
+
+
+@st.composite
+def _matrix_stacks(draw, min_cols=1):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(min_cols, 5))
+    return _stack(draw, rows, cols)
+
+
+class TestBatchedEvents:
+    """Each event gives the same answer on a stack as on each of its matrices."""
+
+    @settings(deadline=None)
+    @given(_region_stacks())
+    def test_region_predicates(self, instance):
+        stack, regions = instance
+        for region in regions:
+            batched = region.predicate(stack)
+            assert batched.shape == (len(stack),)
+            assert list(batched) == [bool(region.predicate(W)) for W in stack]
+
+    @settings(deadline=None)
+    @given(_matrix_stacks(min_cols=2))
+    def test_coherence(self, instance):
+        stack, _ = instance
+        nonzero = stack[np.all(np.any(stack != 0.0, axis=-2), axis=-1)]
+        if len(nonzero):
+            assert list(coherence(nonzero)) == [coherence(A) for A in nonzero]
+
+    @settings(deadline=None)
+    @given(_matrix_stacks(), st.integers(1, 4))
+    def test_orthant(self, instance, L):
+        C, rng = instance
+        B = rng.standard_normal((len(C), C.shape[2], L))
+        B[0] = 0.0
+        batched = volume._orthant(C, B)
+        assert list(batched) == [volume._orthant(c, b) for c, b in zip(C, B)]
+
+    @settings(deadline=None)
+    @given(_matrix_stacks(), st.integers(1, 3))
+    def test_margin(self, instance, rows):
+        X, rng = instance
+        X = X[np.all(np.any(X != 0.0, axis=-2), axis=-1)]
+        U = rng.standard_normal((rows, X.shape[1]))
+        U[0] = 0.0
+        if len(X):
+            assert list(volume._margin(U, X)) == [volume._margin(U, x) for x in X]
+
+
+def _six_kinds():
+    x = np.array([0.2, -0.7, 1.1])
+    rng = np.random.default_rng(71)
+    X, Wstar = rng.standard_normal((3, 4)), rng.standard_normal((2, 3))
+    region = RegionSpec.from_activation_pattern(activation_slopes(Wstar @ X, 0.5), X)
+    custom = RegionSpec.custom(lambda W: bool((W[0] @ x) > 0), d1=1, d0=3)
+    return {
+        "angular": lambda t, w: estimate_angular_volume(region, t, 13, w),
+        "sign_match": lambda t, w: estimate_global_region_volume(X, Wstar, 3, t, 14, w),
+        "orthant": lambda t, w: estimate_orthant_probability(2, 2, 2, t, 15, w),
+        "custom": lambda t, w: estimate_angular_volume(custom, t, 16, w),
+        "coherence": lambda t, w: estimate_coherence_tail(30, 4, 0.5, t, 17, w),
+        "margin": lambda t, w: estimate_margin_probability(np.eye(3)[:1], 2, 0.2, t, 18, w),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_six_kinds()))
+@pytest.mark.parametrize("block_values", [volume._BLOCK_VALUES, 4], ids=["default", "pooled"])
+def test_bit_identical_at_any_worker_count(monkeypatch, kind, block_values):
+    # a cap below one trial's draw makes every block one trial, run by the pool
+    monkeypatch.setattr(volume, "_BLOCK_VALUES", block_values)
+    estimate = _six_kinds()[kind]
+    runs = [estimate(1_001, w) for w in (1, 2, 8)]
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_pool_runs_only_for_large_draws(monkeypatch):
+    pools = []
+
+    class Recording(volume.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(volume, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(volume.os, "cpu_count", lambda: 8)
+    half = volume._BLOCK_VALUES // 2
+    estimate_orthant_probability(2, 2, 2, 50_000, seed=1, workers=4)
+    estimate_coherence_tail(half, 2, 0.5, 3, seed=1, workers=4)
+    assert pools == []
+    estimate_coherence_tail(half + 1, 2, 0.5, 3, seed=1, workers=4)
+    assert pools == [3]
+
+
+def test_pool_size_clamps_to_cpus_and_blocks():
     from landscape.volume import _pool_size
 
     assert _pool_size(100_000, 400_000, 2) == 2
     assert _pool_size(100_000, 3, 64) == 3
     assert _pool_size(4, 16, 64) == 4
     assert _pool_size(8, 32, None) == 1
+
+
+class TestEmptyShapes:
+    """A zero-size axis is refused with DomainError before any draw."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: estimate_coherence_tail(0, 3, 0.5, 10, seed=1),
+        lambda: estimate_coherence_tail(5, 1, 0.5, 10, seed=1),
+        lambda: estimate_margin_probability(np.eye(3)[:1], 0, 0.2, 10, seed=1),
+        lambda: estimate_margin_probability(np.zeros((0, 3)), 2, 0.2, 10, seed=1),
+        lambda: estimate_margin_probability(np.zeros((1, 0)), 2, 0.2, 10, seed=1),
+        lambda: estimate_global_region_volume(np.ones((3, 0)), np.ones((1, 3)), 1, 10, seed=1),
+        lambda: estimate_global_region_volume(np.ones((3, 2)), np.ones((0, 3)), 2, 10, seed=1),
+        lambda: RegionSpec.from_activation_pattern(np.ones((2, 0)), np.ones((3, 0))),
+        lambda: RegionSpec.from_activation_pattern(np.ones((2, 4)), np.ones((0, 4))),
+        lambda: RegionSpec.custom(lambda W: True, d1=0, d0=3),
+        lambda: estimate_angular_volume(RegionSpec.custom(lambda W: True, 1, 1), 0, seed=1),
+    ], ids=["coherence-m0", "coherence-n1", "margin-n0", "margin-no-rows", "margin-d0-0",
+            "global-n0", "global-no-rows", "pattern-n0", "pattern-d0-0", "custom-d1-0",
+            "trials-0"])
+    def test_rejected(self, monkeypatch, call):
+        monkeypatch.setattr(volume, "block_rng", None)   # any draw would fail differently
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_worker_env_override(monkeypatch):
