@@ -9,7 +9,8 @@ lgamma, which are accurate to a few ulps.
 import math
 from dataclasses import dataclass
 
-from .errors import BadLeak, DomainError
+from .errors import DomainError
+from .network import check_leak
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -34,7 +35,7 @@ class BoundInputs:
 
     lim_ratio stands in for the limiting ratio d0/N, which has no
     finite-sample value; it defaults to 0 and only matters when rho is
-    neither 0 nor 1.
+    not 0.  rho must be finite and differ from 1 (BadLeak otherwise).
     """
 
     N: int
@@ -51,6 +52,7 @@ class BoundInputs:
             raise DomainError("epsilon must lie in (0, 1)")
         if not 0.0 <= self.lim_ratio < math.inf:
             raise DomainError("lim_ratio must be finite and nonnegative")
+        check_leak(self.rho)
 
 
 def std_normal(x):
@@ -146,14 +148,7 @@ def gamma_epsilon(inputs):
 
     0.23 * max(lim_ratio, epsilon)^(3/4) in general; the lim_ratio term
     drops when rho = 0.
-
-    Raises
-    ------
-    BadLeak
-        If rho = 1.
     """
-    if inputs.rho == 1.0:
-        raise BadLeak("rho must differ from 1")
     base = inputs.epsilon if inputs.rho == 0.0 else max(inputs.lim_ratio, inputs.epsilon)
     return 0.23 * base ** 0.75
 
@@ -174,13 +169,7 @@ def global_volume_log_lower_bound(d0, d1_star, sin_alpha):
         raise DomainError("d0 must be at least 2")
     if not 0.0 < sin_alpha <= 1.0:
         raise DomainError("sin_alpha must lie in (0, 1]")
-    log_single = (
-        math.log(2.0)
-        + (d0 - 1) * math.log(sin_alpha)
-        - math.log(d0 - 1)
-        - _log_beta(0.5, (d0 - 1) / 2.0)
-    )
-    return d1_star * log_single
+    return d1_star * _log_cap(d0, sin_alpha)
 
 
 def global_volume_lower_bound(d0, d1_star, sin_alpha):
@@ -256,23 +245,27 @@ def beta_angle_bounds(d0, value, which):
     """
     if d0 < 2:
         raise DomainError("d0 must be at least 2")
-    log_beta = _log_beta(0.5, (d0 - 1) / 2.0)
     if which == "lower":
         if not 0.0 < value <= math.pi / 2.0:
             raise DomainError("angle must lie in (0, pi/2]")
-        log_value = (
-            math.log(2.0)
-            + (d0 - 1) * math.log(math.sin(value))
-            - math.log(d0 - 1)
-            - log_beta
-        )
+        log_value = _log_cap(d0, math.sin(value))
     elif which == "upper":
         if not 0.0 < value <= 1.0:
             raise DomainError("u must lie in (0, 1]")
-        log_value = math.log(2.0) + math.log(value) - log_beta
+        log_value = math.log(2.0) + math.log(value) - _log_beta(0.5, (d0 - 1) / 2.0)
     else:
         raise DomainError("which must be 'lower' or 'upper'")
     return min(1.0, math.exp(min(log_value, 0.0)))
+
+
+def _log_cap(d0, sin_value):
+    """log of 2 s^(d0-1) / ((d0-1) B(1/2, (d0-1)/2)) at s = sin_value, the margin-cap bound."""
+    return (
+        math.log(2.0)
+        + (d0 - 1) * math.log(sin_value)
+        - math.log(d0 - 1)
+        - _log_beta(0.5, (d0 - 1) / 2.0)
+    )
 
 
 def _log_beta(a, b):

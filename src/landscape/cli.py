@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -23,7 +23,6 @@ from . import construct as construct_mod
 from . import train as train_mod
 from . import volume as volume_mod
 from .errors import (
-    BadLeak,
     ConfigError,
     DatasetFormatError,
     LabelDomainError,
@@ -32,7 +31,9 @@ from .errors import (
     UsageError,
 )
 from .linalg import numerical_rank
-from .network import Dataset, activation_slopes, evaluate, khatri_rao, mean_square, misclassified
+from .network import (
+    Dataset, activation_slopes, check_leak, evaluate, khatri_rao, mean_square, misclassified,
+)
 from .stationarity import rank_condition_oracle
 
 EXIT_OK = 0
@@ -126,10 +127,7 @@ def write_dataset_csv(path, data):
 # ---------------------------------------------------------------------------
 # config handling for train / scan / diagnostic
 
-_TRAIN_KEYS = {
-    "epochs", "lr", "batch", "beta1", "beta2", "adam_eps",
-    "lr_decay_epochs", "seed", "rho", "stop_on_zero_mce",
-}
+_TRAIN_KEYS = {f.name for f in fields(train_mod.TrainConfig)}
 
 
 def _check_keys(config, allowed, context, required=()):
@@ -428,8 +426,7 @@ def bounds_beta(args):
 
 
 def cmd_rank_oracle(args):
-    if args.rho == 1.0:
-        raise BadLeak("rho must differ from 1")
+    check_leak(args.rho)
     rng = np.random.default_rng(args.seed)
     X = rng.standard_normal((args.d0, args.n))
     W = rng.standard_normal((args.d1, args.d0))

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLeak, DegenerateData, TargetTooSmall, ZeroVector
+from .errors import DegenerateData, TargetTooSmall, ZeroVector
 from .linalg import canonical_sign, nullspace_basis, nullspace_direction, solve_linear
-from .network import NetParams, evaluate, lrelu, mean_square
+from .network import NetParams, check_leak, evaluate, lrelu, mean_square
 
 # |w . x| below this (relative to the column norm) counts as a degenerate hit.
 _DEGENERATE_TOL = 1e-13
@@ -57,8 +57,7 @@ def trapezoid(x, eps1, eps2, rho):
     """Four-rectifier bump: 1 on [-eps2, eps2], 0 outside [-eps1, eps1], linear between."""
     if not eps1 > eps2 > 0:
         raise ValueError("need eps1 > eps2 > 0")
-    if rho == 1.0:
-        raise BadLeak("rho must differ from 1")
+    check_leak(rho)
     scale = 1.0 / ((eps1 - eps2) * (1.0 - rho))
     return scale * (
         lrelu(x + eps1, rho)
@@ -111,14 +110,13 @@ def build_global_minimum(data, rho, beta=0.5, gamma=0.5, target_d1=None, seed=No
     Raises
     ------
     BadLeak
-        If rho = 1.
+        If rho is not finite or is 1.
     DegenerateData
         If X sits on a measure-zero configuration the construction cannot use.
     TargetTooSmall
         If target_d1 is below the constructed width.
     """
-    if rho == 1.0:
-        raise BadLeak("rho must differ from 1")
+    check_leak(rho)
     if not (0.0 < beta < 1.0 and 0.0 < gamma < 1.0):
         raise ValueError("beta and gamma must lie in (0, 1)")
     X = data.X

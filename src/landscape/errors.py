@@ -29,8 +29,8 @@ class DegenerateData(NumericalError):
     """Dataset sits on a measure-zero configuration the construction cannot use."""
 
 
-class BadLeak(LandscapeError):
-    """Leak parameter value makes the unit linear (rho = 1)."""
+class BadLeak(LandscapeError, ValueError):
+    """Leak parameter is not finite or makes the unit linear (rho = 1)."""
 
 
 class TargetTooSmall(LandscapeError):
@@ -39,10 +39,6 @@ class TargetTooSmall(LandscapeError):
 
 class ZeroVector(NumericalError):
     """A vector required to be nonzero has zero norm."""
-
-
-class ZeroColumn(NumericalError):
-    """A matrix column required to be nonzero has zero norm."""
 
 
 class DomainError(LandscapeError, ValueError):

@@ -6,14 +6,21 @@ is written; every loss, trainer and stationarity check goes through them.
 The model has no biases and a single scalar output per sample.  Data is
 kept column-per-sample: X is (d0, N), labels y in {0, 1}^N.  The first
 layer is W (d1, d0), the second z (d1,), and the unit is
-f(u) = u for u > 0 and rho * u for u < 0 with rho != 1.
+f(u) = u for u > 0 and rho * u for u < 0 with a finite rho != 1.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import BadLeak, ShapeMismatch
+
+
+def check_leak(rho):
+    """Reject a leak that is not finite or is 1, where the unit is linear."""
+    if not math.isfinite(rho) or rho == 1.0:
+        raise BadLeak(f"rho must be finite and differ from 1, got {rho!r}")
 
 
 @dataclass
@@ -27,8 +34,7 @@ class NetParams:
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=float)
         self.z = np.asarray(self.z, dtype=float)
-        if self.rho == 1.0:
-            raise ValueError("rho = 1 makes the unit linear; the model requires rho != 1")
+        check_leak(self.rho)
         if self.W.ndim != 2 or self.z.ndim != 1 or self.W.shape[0] != self.z.shape[0]:
             raise ShapeMismatch("W must be (d1, d0) and z (d1,)")
         if not (np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.z))):
@@ -73,8 +79,7 @@ class Dataset:
 
 def lrelu(U, rho):
     """Elementwise leaky rectifier: u for u > 0, rho * u for u < 0, 0 at 0."""
-    if rho == 1.0:
-        raise ValueError("rho must differ from 1")
+    check_leak(rho)
     U = np.asarray(U, dtype=float)
     return np.where(U > 0.0, U, rho * U)
 

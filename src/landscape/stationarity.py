@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InstanceTooLarge
+from .errors import DomainError, InstanceTooLarge
 from .linalg import numerical_rank
 from .network import backward, evaluate, khatri_rao
 
@@ -52,11 +52,15 @@ def rank_condition_oracle(A, X, rel_tol=1e-10):
 
     Raises
     ------
+    DomainError
+        If A (d1, N) or X (d0, N) has a dimension below 1.
     InstanceTooLarge
         If the instance has more than 22 columns.
     """
     A = np.asarray(A, dtype=float)
     X = np.asarray(X, dtype=float)
+    if min(A.shape + X.shape) < 1:
+        raise DomainError(f"d1, d0 and N must be at least 1, got A {A.shape} and X {X.shape}")
     d0 = X.shape[0]
     N = A.shape[1]
     if N > MAX_ORACLE_SAMPLES:

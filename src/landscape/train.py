@@ -76,32 +76,26 @@ class TrainResult:
 
 
 class Adam:
-    """Adam with bias correction over a list of parameter arrays."""
+    """Adam with bias correction over one parameter array of the given shape."""
 
-    def __init__(self, shapes, lr, beta1=0.9, beta2=0.99, eps=1e-8):
-        self.lr = lr
+    def __init__(self, shape, beta1=0.9, beta2=0.99, eps=1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
 
-    def step(self, grads, lr=None):
-        """Bias-corrected updates to add to the parameters."""
-        if lr is None:
-            lr = self.lr
+    def step(self, grad, lr):
+        """Bias-corrected update at learning rate lr, to add to the parameters."""
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        deltas = []
-        for m, v, grad in zip(self.m, self.v, grads):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            deltas.append(-lr * (m / c1) / (np.sqrt(v / c2) + self.eps))
-        return deltas
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
+        return -lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
 
 
 def derive_seed(*parts):
@@ -170,7 +164,7 @@ def _adam_train_stack(params, datasets, config, seeds):
     batch = min(batch, N)
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    opt = Adam([theta.shape], config.lr, config.beta1, config.beta2, config.adam_eps)
+    opt = Adam(theta.shape, config.beta1, config.beta2, config.adam_eps)
     decay_start = config.epochs - config.lr_decay_epochs
     decay_q = (
         DECAY_TOTAL_FACTOR ** (1.0 / config.lr_decay_epochs)
@@ -197,7 +191,7 @@ def _adam_train_stack(params, datasets, config, seeds):
             Xb = X_perm[:, start:start + batch].swapaxes(1, 2)
             _, A, H, yhat = evaluate(W, z, rho, Xb)
             grad_W[...], grad_z[...] = backward(z, Xb, A, H, y_perm[:, start:start + batch] - yhat)
-            theta += opt.step([grad], lr=lr)[0]
+            theta += opt.step(grad, lr)
         stay = []
         for row, k in enumerate(members):
             data = datasets[k]
@@ -225,26 +219,8 @@ def _adam_train_stack(params, datasets, config, seeds):
         if len(stay) < len(members):
             members = [members[row] for row in stay]
             theta, grad, X_perm, y_perm = theta[stay], grad[stay], X_perm[stay], y_perm[stay]
-            opt.m[0], opt.v[0] = opt.m[0][stay], opt.v[0][stay]
+            opt.m, opt.v = opt.m[stay], opt.v[stay]
     return results
-
-
-def zca_whiten(X, eps=1e-5):
-    """Symmetric whitening of centered columns: U (L + eps I)^(-1/2) U^T X_c.
-
-    Returns (Xw, transform).  The eps shift keeps degenerate directions
-    bounded instead of blowing up; directions with eigenvalue well above
-    eps come out with unit variance.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.shape[1] < 2:
-        raise ValueError("whitening needs at least two samples")
-    Xc = X - X.mean(axis=1, keepdims=True)
-    C = Xc @ Xc.T / X.shape[1]
-    lam, U = np.linalg.eigh(C)
-    lam = np.maximum(lam, 0.0)
-    T = (U / np.sqrt(lam + eps)) @ U.T
-    return T @ Xc, T
 
 
 def _run_cell(d, N, config, top_seed, tag, seeds):

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ZeroColumn
+from .errors import DomainError, ZeroVector
 
 _WILSON_Z = 1.959963984540054  # 97.5% standard normal quantile
 
@@ -33,8 +33,6 @@ _MASK64 = (1 << 64) - 1
 # the per-block cost (a fresh Philox stream, a few numpy calls) is spread
 # over hundreds of trials at the light shapes.
 _BLOCK_VALUES = 1 << 13
-
-WORKERS_ENV = "LANDSCAPE_THREADS"
 
 
 @dataclass(frozen=True)
@@ -134,12 +132,9 @@ def wilson_interval(hits, trials, z=_WILSON_Z):
 
 
 def resolve_workers(workers=None):
-    """Worker count: explicit argument, else LANDSCAPE_THREADS, else cpu count."""
+    """Worker count: the explicit argument if given, else the cpu count."""
     if workers is not None:
         return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
     return os.cpu_count() or 1
 
 
@@ -230,7 +225,7 @@ def coherence(A):
     diagonal = np.arange(A.shape[-1])
     norms = np.sqrt(G[..., diagonal, diagonal])
     if np.any(norms == 0.0):
-        raise ZeroColumn("coherence undefined with a zero column")
+        raise ZeroVector("coherence undefined with a zero column")
     cosines = np.abs(G) / (norms[..., :, None] * norms[..., None, :])
     cosines[..., diagonal, diagonal] = 0.0
     return np.max(cosines, axis=(-2, -1))
@@ -259,7 +254,7 @@ def estimate_margin_probability(Wstar, N, sin_alpha, trials, seed, workers=None)
     _require_positive(rows=rows, d0=d0, N=N)
     row_norms = np.linalg.norm(Wstar, axis=1)
     if np.any(row_norms == 0.0):
-        raise ZeroColumn("margin undefined with a zero weight row")
+        raise ZeroVector("margin undefined with a zero weight row")
     U = Wstar / row_norms[:, None]
 
     def event(X):

@@ -154,6 +154,11 @@ class TestGammaEpsilon:
         with pytest.raises(BadLeak):
             gamma_epsilon(BoundInputs(N=2, d0=2, d1=2, epsilon=0.1, rho=1.0))
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    def test_non_finite_leak_rejected(self, rho):
+        with pytest.raises(BadLeak):
+            BoundInputs(N=2, d0=2, d1=2, epsilon=0.1, rho=rho)
+
 
 class TestSuboptimalVolumeBound:
     def test_formula_value(self):

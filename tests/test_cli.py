@@ -339,6 +339,15 @@ class TestExitCodes:
         pytest.param("bounds ratio --n 10 --d0 2 --d1 2 --epsilon 0.1 --rho 0.3 --lim-ratio nan",
                      id="ratio-lim-ratio-nan"),
         pytest.param("rank-oracle --d0 2 --d1 2 --n 3 --rho 1", id="rank-oracle-rho-one"),
+        pytest.param("construct --d0 5 --n 20 --rho inf", id="construct-rho-inf"),
+        pytest.param("rank-oracle --d0 3 --d1 2 --n 5 --rho nan", id="rank-oracle-rho-nan"),
+        pytest.param("rank-oracle --d0 3 --d1 2 --n 5 --rho inf", id="rank-oracle-rho-inf"),
+        pytest.param("bounds gamma-eps --epsilon 0.1 --rho nan", id="gamma-eps-rho-nan"),
+        pytest.param("bounds suboptimal --n 10 --d0 3 --d1 3 --epsilon 0.1 --rho inf",
+                     id="suboptimal-rho-inf"),
+        pytest.param("rank-oracle --d0 0 --d1 2 --n 5", id="rank-oracle-d0-0"),
+        pytest.param("rank-oracle --d0 3 --d1 0 --n 5", id="rank-oracle-d1-0"),
+        pytest.param("rank-oracle --d0 3 --d1 2 --n 0", id="rank-oracle-n0"),
     ])
     def test_bad_flags_exit_one_without_artifact(self, tmp_path, capsys, argv):
         out = tmp_path / "never.json"

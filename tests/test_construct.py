@@ -165,6 +165,8 @@ class TestBuildGlobalMinimum:
         data = gen_gaussian_dataset(3, 6, seed=13)
         with pytest.raises(BadLeak):
             build_global_minimum(data, rho=1.0)
+        with pytest.raises(BadLeak):
+            build_global_minimum(data, rho=np.inf)
 
     def test_degenerate_data_detected(self):
         from landscape.errors import DegenerateData

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _oracles import fd_gradient
-from landscape.errors import ShapeMismatch
+from landscape.errors import BadLeak, ShapeMismatch
 from landscape.linalg import numerical_rank
 from landscape.network import (
     Dataset,
@@ -226,6 +226,13 @@ class TestValidation:
     def test_rho_one_rejected(self):
         with pytest.raises(ValueError):
             NetParams(W=[[1.0]], z=[1.0], rho=1.0)
+
+    @pytest.mark.parametrize("rho", [1.0, np.nan, np.inf, -np.inf])
+    def test_leak_rule(self, rho):
+        with pytest.raises(BadLeak):
+            NetParams(W=[[1.0]], z=[1.0], rho=rho)
+        with pytest.raises(BadLeak):
+            lrelu(1.0, rho)
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):

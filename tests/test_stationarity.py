@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from landscape.construct import build_global_minimum
-from landscape.errors import InstanceTooLarge
+from landscape.errors import DomainError, InstanceTooLarge
 from landscape.linalg import numerical_rank
 from landscape.network import (
     Dataset,
@@ -115,6 +115,11 @@ class TestRankConditionOracle:
     def test_single_sample(self):
         holds, witness = rank_condition_oracle(np.array([[1.0]]), np.array([[2.0]]))
         assert holds and witness is None
+
+    @pytest.mark.parametrize("d1, d0, N", [(0, 2, 3), (2, 0, 3), (2, 2, 0)])
+    def test_empty_shape_rejected(self, d1, d0, N):
+        with pytest.raises(DomainError, match="at least 1"):
+            rank_condition_oracle(np.ones((d1, N)), np.ones((d0, N)))
 
     def test_cap(self):
         with pytest.raises(InstanceTooLarge):

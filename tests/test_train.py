@@ -18,7 +18,6 @@ from landscape.train import (
     gen_gaussian_dataset,
     he_init,
     scan_overparam,
-    zca_whiten,
 )
 
 
@@ -61,21 +60,19 @@ class TestHeInit:
 
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
-        opt = Adam([(2, 2), (2,)], lr=0.1)
+        opt = Adam((2, 3))
         for _ in range(5):
-            dW, dz = opt.step([np.zeros((2, 2)), np.zeros(2)])
-            assert np.all(dW == 0.0) and np.all(dz == 0.0)
+            assert np.all(opt.step(np.zeros((2, 3)), 0.1) == 0.0)
 
     def test_first_step_from_zero_state_is_minus_lr(self):
         # bias-corrected moments equal the constant gradient, so the update
         # is -lr * g / (|g| + eps), essentially -lr regardless of |g|
-        opt = Adam([(1,)], lr=0.01)
-        (delta,) = opt.step([np.array([0.5])])
+        delta = Adam((1,)).step(np.array([0.5]), 0.01)
         assert delta[0] == pytest.approx(-0.01, rel=1e-7)
 
     def test_sign_only_dependence_on_first_step(self):
-        big = Adam([(1,)], lr=0.01).step([np.array([100.0])])[0][0]
-        small = Adam([(1,)], lr=0.01).step([np.array([1e-3])])[0][0]
+        big = Adam((1,)).step(np.array([100.0]), 0.01)[0]
+        small = Adam((1,)).step(np.array([1e-3]), 0.01)[0]
         assert big == pytest.approx(small, rel=1e-4)
 
 
@@ -246,53 +243,6 @@ class TestPinnedOutputs:
         assert report.gradient_norm.hex() == "0x1.017b16c04c057p+3"
         assert report.min_neural_input.hex() == "0x1.001f68e1527a5p-3"
         assert report.boundary_hits == 0
-
-
-class TestZcaWhiten:
-    def test_isotropic_input_rescaled(self):
-        rng = np.random.default_rng(19)
-        raw = rng.standard_normal((6, 400))
-        base, _ = zca_whiten(raw, eps=1e-12)   # exact unit covariance
-        sigma = 30.0   # sigma^2 well above the default eps shift
-        Xw, _ = zca_whiten(sigma * base, eps=1e-5)
-        np.testing.assert_allclose(Xw, base, atol=1e-6)
-
-    def test_constant_row_guarded(self):
-        rng = np.random.default_rng(20)
-        X = rng.standard_normal((4, 50))
-        X[2] = 7.5
-        Xw, _ = zca_whiten(X)
-        assert np.all(np.isfinite(Xw))
-        assert np.max(np.abs(Xw[2])) <= 1e-8
-
-    def test_offdiagonal_covariance_vanishes(self):
-        rng = np.random.default_rng(21)
-        X = rng.standard_normal((10, 1000))
-        Xw, _ = zca_whiten(X)
-        C = Xw @ Xw.T / 1000
-        off = C - np.diag(np.diag(C))
-        assert np.max(np.abs(off)) <= 1e-6
-
-    def test_identity_covariance_at_small_eps(self):
-        rng = np.random.default_rng(22)
-        X = rng.standard_normal((10, 1000))
-        Xw, _ = zca_whiten(X, eps=1e-12)
-        C = Xw @ Xw.T / 1000
-        assert np.max(np.abs(C - np.eye(10))) <= 1e-6
-
-    def test_default_eps_diagonal_shrink_is_small(self):
-        rng = np.random.default_rng(23)
-        X = rng.standard_normal((10, 1000))
-        Xw, _ = zca_whiten(X)
-        C = Xw @ Xw.T / 1000
-        assert np.max(np.abs(C - np.eye(10))) <= 1e-4  # eps/lambda_min level
-
-    def test_transform_returned(self):
-        rng = np.random.default_rng(24)
-        X = rng.standard_normal((3, 40))
-        Xw, T = zca_whiten(X)
-        centered = X - X.mean(axis=1, keepdims=True)
-        np.testing.assert_allclose(Xw, T @ centered, atol=1e-12)
 
 
 class TestScanOverparam:

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from _oracles import margin_conditioned_columns, three_sigma
 from landscape.bounds import beta_angle_bounds
 from landscape import volume
-from landscape.errors import DomainError, ZeroColumn
+from landscape.errors import DomainError, ZeroVector
 from landscape.network import activation_slopes
 from landscape.volume import (
     MCEstimate,
@@ -166,7 +167,7 @@ class TestCoherence:
         assert coherence(A) == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
     def test_zero_column_rejected(self):
-        with pytest.raises(ZeroColumn):
+        with pytest.raises(ZeroVector):
             coherence(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
@@ -200,6 +201,10 @@ class TestMarginProbability:
         est = estimate_margin_probability(Wstar, 1, 0.1, TRIALS, seed=59)
         lower = 1.0 - beta_angle_bounds(3, 0.1, "upper")
         assert est.estimate >= lower - three_sigma(0.9, TRIALS)
+
+    def test_zero_weight_row_rejected(self):
+        with pytest.raises(ZeroVector):
+            estimate_margin_probability(np.array([[1.0, 0.0], [0.0, 0.0]]), 3, 0.1, 10, seed=1)
 
 
 @st.composite
@@ -433,11 +438,9 @@ class TestEmptyShapes:
             call()
 
 
-def test_worker_env_override(monkeypatch):
+def test_resolve_workers():
     from landscape.volume import resolve_workers
 
-    monkeypatch.setenv("LANDSCAPE_THREADS", "3")
-    assert resolve_workers() == 3
-    monkeypatch.delenv("LANDSCAPE_THREADS")
     assert resolve_workers(5) == 5
-    assert resolve_workers() >= 1
+    assert resolve_workers(0) == 1
+    assert resolve_workers() == (os.cpu_count() or 1)
