@@ -25,7 +25,6 @@ from . import volume as volume_mod
 from .errors import (
     ConfigError,
     DatasetFormatError,
-    LabelDomainError,
     LandscapeError,
     NumericalError,
     UsageError,
@@ -71,9 +70,8 @@ def load_dataset_csv(path):
     Raises
     ------
     DatasetFormatError
-        Naming the 1-based offending line for any structural problem.
-    LabelDomainError
-        Naming the line whose label is outside {0, 1}.
+        Naming the 1-based offending line for any structural problem or a
+        label outside {0, 1}.
     """
     with open(path) as handle:
         lines = handle.read().splitlines()
@@ -110,7 +108,7 @@ def load_dataset_csv(path):
             raise DatasetFormatError(f"line {lineno}: non-finite field")
         label = values[-1]
         if label not in (0.0, 1.0):
-            raise LabelDomainError(f"line {lineno}: label must be 0 or 1, got {fields[-1]}")
+            raise DatasetFormatError(f"line {lineno}: label must be 0 or 1, got {fields[-1]}")
         X[:, n] = values[:-1]
         y[n] = label
     return Dataset(X=X, y=y)
@@ -201,8 +199,7 @@ def cmd_construct(args):
         data = train_mod.gen_gaussian_dataset(args.d0, args.n, args.data_seed)
         dataset_cfg = {"d0": args.d0, "n": args.n, "seed": args.data_seed}
     built = construct_mod.build_global_minimum(
-        data, rho=args.rho, beta=args.beta, gamma=args.gamma,
-        target_d1=args.target_d1, seed=args.seed,
+        data, rho=args.rho, target_d1=args.target_d1, seed=args.seed
     )
     params = built.params
     P, _, _, yhat = evaluate(params.W, params.z, params.rho, data.X)
@@ -224,13 +221,7 @@ def cmd_construct(args):
     else:
         outputs["min_neural_input"] = None
         outputs["margin"] = None
-    config = {
-        "dataset": dataset_cfg,
-        "rho": args.rho,
-        "beta": args.beta,
-        "gamma": args.gamma,
-        "target_d1": args.target_d1,
-    }
+    config = {"dataset": dataset_cfg, "rho": args.rho, "target_d1": args.target_d1}
     return RunRecord("construct", config, args.seed or 0, outputs=outputs)
 
 
@@ -335,22 +326,20 @@ def volume_orthant(args):
 
 
 def volume_coherence(args):
+    bound = bounds_coherence_tail(args)
     est = volume_mod.estimate_coherence_tail(
         args.m, args.n, args.eps, args.trials, args.seed, args.workers
     )
-    return {
-        "estimate": asdict(est),
-        "bound": {"tail": bounds_mod.coherence_tail_bound(args.m, args.n, args.eps)},
-    }
+    return {"estimate": asdict(est), "bound": bound}
 
 
 def volume_margin(args):
     rng = np.random.default_rng(args.pattern_seed)
     Wstar = rng.standard_normal((args.d1star, args.d0))
+    upper = bounds_mod.beta_angle_bounds(args.d0, args.sin_alpha, "upper")
     est = volume_mod.estimate_margin_probability(
         Wstar, args.n, args.sin_alpha, args.trials, args.seed, args.workers
     )
-    upper = bounds_mod.beta_angle_bounds(args.d0, args.sin_alpha, "upper")
     return {
         "estimate": asdict(est),
         "bound": {"lower": max(0.0, 1.0 - args.n * args.d1star * upper)},
@@ -471,8 +460,6 @@ def build_parser():
     p.add_argument("--n", type=int, help="synthetic sample count")
     p.add_argument("--data-seed", type=int, default=0)
     p.add_argument("--rho", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--target-d1", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="RunRecord JSON path")

@@ -21,6 +21,11 @@ _DEGENERATE_TOL = 1e-13
 
 _REDRAW_ATTEMPTS = 16
 
+# Trapezoid widths: eps1 is _BETA times the sign-safety limit of its block,
+# and eps2 = _GAMMA * eps1.
+_BETA = 0.5
+_GAMMA = 0.5
+
 
 @dataclass
 class ConstructionBlock:
@@ -28,7 +33,7 @@ class ConstructionBlock:
     w_tilde: np.ndarray     # in-hyperplane normal, rescaled to ||w_hat||
     w_hat: np.ndarray       # offset direction with w_hat . x = 1 on the block
     eps1: float             # outer half-width of the trapezoid
-    eps2: float             # inner half-width, eps2 = gamma * eps1
+    eps2: float             # inner half-width, eps2 = _GAMMA * eps1
 
 
 @dataclass
@@ -99,26 +104,24 @@ def _block_directions(X, subset, rng):
     )
 
 
-def build_global_minimum(data, rho, beta=0.5, gamma=0.5, target_d1=None, seed=None):
+def build_global_minimum(data, rho, target_d1=None, seed=None):
     """Construct (W*, z*) with forward(params, X) = y exactly.
 
     The hidden width is 4 * ceil(|S+| / (d0 - 1)) where S+ is the positive
     class; pass target_d1 to pad with Gaussian rows carrying zero output
-    weight.  beta and gamma in (0, 1) set the trapezoid widths relative to
-    the sign-safety limit of each block.
+    weight.
 
     Raises
     ------
     BadLeak
         If rho is not finite or is 1.
     DegenerateData
-        If X sits on a measure-zero configuration the construction cannot use.
+        If X sits on a measure-zero configuration the construction cannot use,
+        such as a repeated positive sample.
     TargetTooSmall
         If target_d1 is below the constructed width.
     """
     check_leak(rho)
-    if not (0.0 < beta < 1.0 and 0.0 < gamma < 1.0):
-        raise ValueError("beta and gamma must lie in (0, 1)")
     X = data.X
     d0 = data.d0
     if d0 < 2:
@@ -141,13 +144,13 @@ def build_global_minimum(data, rho, beta=0.5, gamma=0.5, target_d1=None, seed=No
                 raise DegenerateData("offset direction orthogonal to every outside sample")
             # per-sample ratio keeps eps1 as large as sign stability allows,
             # which caps the 1/(eps1 - eps2) output-weight amplification
-            eps1 = beta * float(np.min(t_out / np.maximum(h_out, 1e-300)))
+            eps1 = _BETA * float(np.min(t_out / np.maximum(h_out, 1e-300)))
             if not np.isfinite(eps1):
                 raise DegenerateData("sign-stability ratio unbounded on this dataset")
         else:
             # no outside samples constrain the widths; any eps1 > eps2 > 0 works
-            eps1 = beta
-        eps2 = gamma * eps1
+            eps1 = _BETA
+        eps2 = _GAMMA * eps1
         rows.extend([
             w_tilde + eps1 * w_hat,
             w_tilde + eps2 * w_hat,

@@ -9,14 +9,6 @@ class NumericalError(LandscapeError):
     """Base class for degenerate-data and numerical failures (CLI exit 2)."""
 
 
-class RankDeficient(NumericalError):
-    """Linear system matrix lost row rank at the working tolerance."""
-
-
-class DegenerateInput(NumericalError):
-    """Matrix handed to a null-space routine is not in generic position."""
-
-
 class ShapeMismatch(LandscapeError):
     """Operands have incompatible dimensions."""
 
@@ -26,7 +18,7 @@ class InstanceTooLarge(LandscapeError):
 
 
 class DegenerateData(NumericalError):
-    """Dataset sits on a measure-zero configuration the construction cannot use."""
+    """Data sits on a measure-zero configuration: a matrix lost rank at the working tolerance."""
 
 
 class BadLeak(LandscapeError, ValueError):
@@ -54,11 +46,7 @@ class NonFinite(NumericalError):
 
 
 class DatasetFormatError(LandscapeError):
-    """Dataset file violates the CSV format contract."""
-
-
-class LabelDomainError(LandscapeError):
-    """Dataset label outside {0, 1}."""
+    """Dataset file violates the CSV format contract, labels in {0, 1} included."""
 
 
 class ConfigError(LandscapeError):

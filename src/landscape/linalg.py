@@ -7,7 +7,7 @@ with a full SVD and apply relative singular-value thresholds.
 
 import numpy as np
 
-from .errors import DegenerateInput, RankDeficient
+from .errors import DegenerateData
 
 # Relative singular-value cutoff used by rank and null-space routines.
 DEFAULT_RANK_TOL = 1e-10
@@ -24,7 +24,7 @@ def solve_linear(A, b):
 
     Raises
     ------
-    RankDeficient
+    DegenerateData
         If the smallest singular value of A is below 1e-12 times the largest.
     """
     A = np.asarray(A, dtype=float)
@@ -36,7 +36,7 @@ def solve_linear(A, b):
         raise ValueError("solve_linear requires m <= n (square or underdetermined)")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s[0] == 0.0 or s[-1] < 1e-12 * s[0]:
-        raise RankDeficient(
+        raise DegenerateData(
             f"smallest singular value {s[-1]:.3e} below 1e-12 * {s[0]:.3e}"
         )
     x = Vt.T @ ((U.T @ b) / s)
@@ -45,7 +45,7 @@ def solve_linear(A, b):
     return x
 
 
-def nullspace_direction(M, rel_tol=DEFAULT_RANK_TOL):
+def nullspace_direction(M):
     """Unit vector v with M v = 0 for a k x d matrix, k < d.
 
     Deterministic for a fixed input: the right singular vector of the
@@ -54,27 +54,27 @@ def nullspace_direction(M, rel_tol=DEFAULT_RANK_TOL):
 
     Raises
     ------
-    DegenerateInput
-        If rank(M) < k at the relative tolerance (non-generic input).
+    DegenerateData
+        If rank(M) < k at relative tolerance DEFAULT_RANK_TOL (non-generic input).
     """
     M = np.asarray(M, dtype=float)
     k, d = M.shape
     if k >= d:
         raise ValueError("nullspace_direction requires k < d")
     _, s, Vt = np.linalg.svd(M, full_matrices=True)
-    if s[0] == 0.0 or s[k - 1] <= rel_tol * s[0]:
-        raise DegenerateInput(f"rank(M) < {k} at relative tolerance {rel_tol:g}")
+    if s[0] == 0.0 or s[k - 1] <= DEFAULT_RANK_TOL * s[0]:
+        raise DegenerateData(f"rank(M) < {k} at relative tolerance {DEFAULT_RANK_TOL:g}")
     return canonical_sign(Vt[-1])
 
 
-def nullspace_basis(M, rel_tol=DEFAULT_RANK_TOL):
+def nullspace_basis(M):
     """Orthonormal basis (d, d - rank) of the null space of a k x d matrix."""
     M = np.asarray(M, dtype=float)
     _, d = M.shape
     _, s, Vt = np.linalg.svd(M, full_matrices=True)
-    rank = int(np.sum(s > rel_tol * s[0])) if s.size and s[0] > 0.0 else 0
+    rank = int(np.sum(s > DEFAULT_RANK_TOL * s[0])) if s.size and s[0] > 0.0 else 0
     if rank >= d:
-        raise DegenerateInput("null space is trivial")
+        raise DegenerateData("null space is trivial")
     return Vt[rank:].T
 
 

@@ -27,10 +27,10 @@ class StationarityReport:
     residual_norm: float        # ||(A o X) e||
     gradient_norm: float        # full parameter-gradient norm
     min_neural_input: float     # min_{i,n} |w_i . x_n|
-    boundary_hits: int          # pre-activations within tau of zero
+    boundary_hits: int          # pre-activations within DEFAULT_TAU of zero
 
 
-def dlm_condition(params, data, tau=DEFAULT_TAU):
+def dlm_condition(params, data):
     """Evaluate the first-order residual condition at (W, z) on the dataset."""
     X = data.X
     P, A, H, yhat = evaluate(params.W, params.z, params.rho, X)
@@ -40,11 +40,11 @@ def dlm_condition(params, data, tau=DEFAULT_TAU):
         residual_norm=float(np.linalg.norm(khatri_rao(A, X) @ e)),
         gradient_norm=float(np.sqrt(np.sum(dW * dW) + dz @ dz)),
         min_neural_input=float(np.min(np.abs(P))) if P.size else float("inf"),
-        boundary_hits=int(np.sum(np.abs(P) <= tau)),
+        boundary_hits=int(np.sum(np.abs(P) <= DEFAULT_TAU)),
     )
 
 
-def rank_condition_oracle(A, X, rel_tol=1e-10):
+def rank_condition_oracle(A, X):
     """Exhaustively test |S| <= rank(A_S) * d0 over every nonempty subset S.
 
     Returns (holds, witness): witness is None when the condition holds,
@@ -71,6 +71,6 @@ def rank_condition_oracle(A, X, rel_tol=1e-10):
             # rank >= 1 already settles subsets of at most d0 columns
             if size <= d0 and np.any(sub != 0.0):
                 continue
-            if size > numerical_rank(sub, rel_tol) * d0:
+            if size > numerical_rank(sub) * d0:
                 return False, tuple(S)
     return True, None

@@ -17,11 +17,16 @@ from itertools import product
 
 import numpy as np
 
-from .errors import NonFinite
+from .errors import DomainError, NonFinite
 from .network import Dataset, NetParams, backward, evaluate, mean_square, misclassified
 
 # Learning-rate shrink factor applied across the whole decay phase.
 DECAY_TOTAL_FACTOR = 1e-3
+
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.99
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -29,9 +34,6 @@ class TrainConfig:
     epochs: int = 4000
     lr: float = 0.01
     batch: int | None = None            # None: floor(min(N/2, d1/2)), at least 1
-    beta1: float = 0.9
-    beta2: float = 0.99
-    adam_eps: float = 1e-8
     lr_decay_epochs: int = 0
     seed: int = 0
     rho: float = 0.0
@@ -44,7 +46,7 @@ class TrainConfig:
         for name, value in counts.items():
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-        for name in ("lr", "beta1", "beta2", "adam_eps", "rho"):
+        for name in ("lr", "rho"):
             value = getattr(self, name)
             if not isinstance(value, (int, float, np.number)) or isinstance(value, bool):
                 raise TypeError(f"{name} must be a number, got {value!r}")
@@ -54,12 +56,8 @@ class TrainConfig:
             raise TypeError(f"stop_on_zero_mce must be true or false, got {self.stop_on_zero_mce!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if not 0.0 < self.lr < math.inf:
             raise ValueError("lr must be positive and finite")
-        if not self.adam_eps > 0.0:
-            raise ValueError("adam_eps must be positive")
         if self.batch is not None and self.batch < 1:
             raise ValueError("batch must be at least 1")
         if self.lr_decay_epochs < 0 or self.lr_decay_epochs > self.epochs:
@@ -78,10 +76,7 @@ class TrainResult:
 class Adam:
     """Adam with bias correction over one parameter array of the given shape."""
 
-    def __init__(self, shape, beta1=0.9, beta2=0.99, eps=1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, shape):
         self.t = 0
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
@@ -89,13 +84,13 @@ class Adam:
     def step(self, grad, lr):
         """Bias-corrected update at learning rate lr, to add to the parameters."""
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grad * grad
-        return -lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * grad
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * grad * grad
+        return -lr * (self.m / c1) / (np.sqrt(self.v / c2) + ADAM_EPS)
 
 
 def derive_seed(*parts):
@@ -133,6 +128,8 @@ def adam_train(params, data, config):
 
     Raises
     ------
+    DomainError
+        If params.rho differs from config.rho.
     NonFinite
         If the epoch loss becomes NaN or infinite.
     """
@@ -148,7 +145,9 @@ def _adam_train_stack(params, datasets, config, seeds):
     leading axis, so one mini-batch step is one round of numpy calls for
     all of them; a member that stops early leaves the stack.
     """
-    rho = params[0].rho
+    rho = config.rho
+    if any(p.rho != rho for p in params):
+        raise DomainError(f"every member must have leak config.rho = {rho!r}")
     d1, d0 = params[0].W.shape
     N = datasets[0].n_samples
     size_W = d1 * d0
@@ -164,7 +163,7 @@ def _adam_train_stack(params, datasets, config, seeds):
     batch = min(batch, N)
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    opt = Adam(theta.shape, config.beta1, config.beta2, config.adam_eps)
+    opt = Adam(theta.shape)
     decay_start = config.epochs - config.lr_decay_epochs
     decay_q = (
         DECAY_TOTAL_FACTOR ** (1.0 / config.lr_decay_epochs)

@@ -121,13 +121,13 @@ class RegionSpec:
         return cls(d1=d1, d0=d0, predicate=batched)
 
 
-def wilson_interval(hits, trials, z=_WILSON_Z):
+def wilson_interval(hits, trials):
     """95% Wilson score interval for a binomial proportion."""
     p = hits / trials
-    z2 = z * z
+    z2 = _WILSON_Z * _WILSON_Z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = z * np.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
+    half = _WILSON_Z * np.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -235,6 +235,8 @@ def estimate_coherence_tail(M, N, eps, trials, seed, workers=None):
     """Fraction of Gaussian M x N draws whose column coherence exceeds eps."""
     if M < 1 or N < 2:
         raise DomainError(f"need M >= 1 and N >= 2, got M = {M}, N = {N}")
+    if not math.isfinite(eps):
+        raise DomainError(f"eps must be finite, got {eps}")
 
     def event(A):
         return coherence(A) > eps
@@ -252,6 +254,8 @@ def estimate_margin_probability(Wstar, N, sin_alpha, trials, seed, workers=None)
     Wstar = np.asarray(Wstar, dtype=float)
     rows, d0 = Wstar.shape
     _require_positive(rows=rows, d0=d0, N=N)
+    if not math.isfinite(sin_alpha):
+        raise DomainError(f"sin_alpha must be finite, got {sin_alpha}")
     row_norms = np.linalg.norm(Wstar, axis=1)
     if np.any(row_norms == 0.0):
         raise ZeroVector("margin undefined with a zero weight row")

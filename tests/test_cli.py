@@ -8,7 +8,7 @@ import pytest
 
 from landscape import errors
 from landscape.cli import RunRecord, load_dataset_csv, main, write_dataset_csv
-from landscape.errors import DatasetFormatError, LabelDomainError
+from landscape.errors import DatasetFormatError
 from landscape.network import Dataset
 from landscape.train import gen_gaussian_dataset
 
@@ -118,7 +118,7 @@ class TestDatasetCsv:
     def test_label_domain_error_names_line(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("d0=1,N=2\n1.0,1\n2.0,2\n")
-        with pytest.raises(LabelDomainError, match="line 3"):
+        with pytest.raises(DatasetFormatError, match="line 3"):
             load_dataset_csv(path)
 
     def test_ragged_row_names_line(self, tmp_path):
@@ -348,6 +348,7 @@ class TestExitCodes:
         pytest.param("rank-oracle --d0 0 --d1 2 --n 5", id="rank-oracle-d0-0"),
         pytest.param("rank-oracle --d0 3 --d1 0 --n 5", id="rank-oracle-d1-0"),
         pytest.param("rank-oracle --d0 3 --d1 2 --n 0", id="rank-oracle-n0"),
+        pytest.param("construct --d0 5 --n 20 --beta 0.3", id="construct-beta"),
     ])
     def test_bad_flags_exit_one_without_artifact(self, tmp_path, capsys, argv):
         out = tmp_path / "never.json"
@@ -378,6 +379,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and ("at least 1" in err or "N >= 2" in err), err
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param("volume coherence --m 5 --n 3 --eps nan --trials 10 --seed 1",
+                     id="volume-coherence-eps-nan"),
+        pytest.param("volume coherence --m 5 --n 3 --eps inf --trials 10 --seed 1",
+                     id="volume-coherence-eps-inf"),
+        pytest.param("volume margin --d0 3 --d1star 1 --n 4 --sin-alpha nan --trials 10 --seed 1",
+                     id="volume-margin-sin-alpha-nan"),
+        pytest.param("volume margin --d0 3 --d1star 1 --n 4 --sin-alpha inf --trials 10 --seed 1",
+                     id="volume-margin-sin-alpha-inf"),
+    ])
+    def test_non_finite_threshold_exits_one_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                            argv):
+        from landscape import volume
+
+        monkeypatch.setattr(volume, "block_rng", None)   # a Monte Carlo draw would raise TypeError
+        out = tmp_path / "never.json"
+        assert run_cli(*argv.split(), "--out", str(out)) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("command, config", [
         pytest.param("train", '{"dataset": {"d0": 0, "n": 4}, "epochs": 1}', id="train-d0-0"),
         pytest.param("train", '{"dataset": {"d0": 3, "n": 4}, "d1": 0, "epochs": 1}',
@@ -400,6 +421,8 @@ class TestExitCodes:
                      id="train-batch-float"),
         pytest.param("train", '{"dataset": {"d0": 3, "n": 4}, "epochs": 1, "adam_eps": NaN}',
                      id="train-adam-eps-nan"),
+        pytest.param("train", '{"dataset": {"d0": 3, "n": 4}, "epochs": 1, "beta1": 0.5}',
+                     id="train-beta1"),
     ])
     def test_bad_config_exits_one_without_artifact(self, tmp_path, capsys, command, config):
         path = tmp_path / "c.json"

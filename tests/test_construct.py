@@ -8,7 +8,7 @@ from landscape.construct import (
     partition_positive,
     trapezoid,
 )
-from landscape.errors import BadLeak, TargetTooSmall, ZeroVector
+from landscape.errors import BadLeak, DegenerateData, TargetTooSmall, ZeroVector
 from landscape.network import Dataset, forward, lrelu, mce, mse
 from landscape.train import gen_gaussian_dataset
 
@@ -169,12 +169,18 @@ class TestBuildGlobalMinimum:
             build_global_minimum(data, rho=np.inf)
 
     def test_degenerate_data_detected(self):
-        from landscape.errors import DegenerateData
-
         # the second sample is a multiple of the first, so the hyperplane
         # through sample 0 contains sample 1 as well
         data = Dataset(X=np.array([[1.0, 2.0], [1.0, 2.0]]), y=np.array([1.0, 0.0]))
         with pytest.raises(DegenerateData):
+            build_global_minimum(data, rho=0.0)
+
+    def test_repeated_positive_sample_is_degenerate_data(self):
+        # samples 0 and 1 share a group and coincide, so the group's
+        # hyperplane system loses rank
+        X = np.array([[1.0, 1.0, 0.3], [2.0, 2.0, -1.0], [0.5, 0.5, 0.7]])
+        data = Dataset(X=X, y=np.array([1.0, 1.0, 0.0]))
+        with pytest.raises(DegenerateData, match="rank"):
             build_global_minimum(data, rho=0.0)
 
     def test_deterministic_for_fixed_seed(self):

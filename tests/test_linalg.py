@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from landscape.errors import DegenerateInput, RankDeficient
+from landscape.errors import DegenerateData
 from landscape.linalg import (
     canonical_sign,
     nullspace_basis,
@@ -29,7 +29,7 @@ class TestSolveLinear:
 
     def test_rank_deficient_raises(self):
         A = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
-        with pytest.raises(RankDeficient):
+        with pytest.raises(DegenerateData):
             solve_linear(A, np.array([1.0, 1.0]))
 
     def test_random_square_residual(self):
@@ -69,7 +69,7 @@ class TestNullspaceDirection:
 
     def test_degenerate_raises(self):
         M = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DegenerateData):
             nullspace_direction(M)
 
     def test_random_generic_unit_norm_and_residual(self):

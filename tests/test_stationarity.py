@@ -51,7 +51,7 @@ class TestDlmCondition:
     def test_boundary_hit_counted(self):
         params = NetParams(W=[[1.0]], z=[1.0], rho=0.5)
         data = Dataset(X=[[0.0, 1.0]], y=[0.0, 1.0])
-        report = dlm_condition(params, data, tau=1e-9)
+        report = dlm_condition(params, data)
         assert report.boundary_hits == 1
         assert report.min_neural_input == 0.0
 

@@ -415,7 +415,7 @@ def test_pool_size_clamps_to_cpus_and_blocks():
 
 
 class TestEmptyShapes:
-    """A zero-size axis is refused with DomainError before any draw."""
+    """A zero-size axis or a non-finite threshold is refused with DomainError before any draw."""
 
     @pytest.mark.parametrize("call", [
         lambda: estimate_coherence_tail(0, 3, 0.5, 10, seed=1),
@@ -429,9 +429,14 @@ class TestEmptyShapes:
         lambda: RegionSpec.from_activation_pattern(np.ones((2, 4)), np.ones((0, 4))),
         lambda: RegionSpec.custom(lambda W: True, d1=0, d0=3),
         lambda: estimate_angular_volume(RegionSpec.custom(lambda W: True, 1, 1), 0, seed=1),
+        lambda: estimate_coherence_tail(5, 3, math.nan, 10, seed=1),
+        lambda: estimate_coherence_tail(5, 3, -math.inf, 10, seed=1),
+        lambda: estimate_margin_probability(np.eye(3)[:1], 4, math.nan, 10, seed=1),
+        lambda: estimate_margin_probability(np.eye(3)[:1], 4, math.inf, 10, seed=1),
     ], ids=["coherence-m0", "coherence-n1", "margin-n0", "margin-no-rows", "margin-d0-0",
             "global-n0", "global-no-rows", "pattern-n0", "pattern-d0-0", "custom-d1-0",
-            "trials-0"])
+            "trials-0", "coherence-eps-nan", "coherence-eps-minus-inf", "margin-sin-alpha-nan",
+            "margin-sin-alpha-inf"])
     def test_rejected(self, monkeypatch, call):
         monkeypatch.setattr(volume, "block_rng", None)   # any draw would fail differently
         with pytest.raises(DomainError):
