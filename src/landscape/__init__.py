@@ -4,7 +4,7 @@ Submodules
 ----------
 linalg        dense solves, null spaces, numerical rank
 network       model, losses, activation slopes, Khatri-Rao, gradients
-stationarity  first-order condition checks and the subset rank oracle
+stationarity  first-order condition checks and the matroid-partition rank oracle
 construct     exact zero-error network construction and angular margins
 bounds        closed-form tail bounds and special-function constants
 volume        seeded Monte Carlo estimators with Wilson intervals

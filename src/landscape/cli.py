@@ -513,7 +513,7 @@ def build_parser():
     for pb in bsub.choices.values():
         pb.add_argument("--out")
 
-    p = sub.add_parser("rank-oracle", help="exhaustive subset rank condition on a random instance")
+    p = sub.add_parser("rank-oracle", help="subset rank condition by matroid partition, N <= 256")
     p.add_argument("--d0", type=int, required=True)
     p.add_argument("--d1", type=int, required=True)
     p.add_argument("--n", type=int, required=True)

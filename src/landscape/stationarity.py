@@ -2,24 +2,24 @@
 
 A differentiable local minimum of the MSE must satisfy (A o X) e = 0 where
 A is the activation pattern, o the column-wise Kronecker product and e the
-residual.  This module measures that residual condition and provides the
-brute-force subset oracle for when the product A o X has full column rank.
+residual.  This module measures that residual condition and decides, by
+matroid partition, when the product A o X has full column rank.
 """
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import DomainError, InstanceTooLarge
 from .linalg import numerical_rank
-from .network import backward, evaluate, khatri_rao
+from .network import backward, evaluate
 
 # Pre-activations within this band of zero count as boundary hits.
 DEFAULT_TAU = 1e-9
 
-# 2^22 subsets is the largest enumeration the oracle will attempt.
-MAX_ORACLE_SAMPLES = 22
+# Largest sample count the oracle will decide.
+MAX_ORACLE_SAMPLES = 256
 
 
 @dataclass
@@ -37,7 +37,8 @@ def dlm_condition(params, data):
     e = data.y - yhat
     dW, dz = backward(params.z, X, A, H, e)
     return StationarityReport(
-        residual_norm=float(np.linalg.norm(khatri_rao(A, X) @ e)),
+        # ||(A o X) e|| = ||(A diag(e)) X^T||_F, without forming A o X
+        residual_norm=float(np.linalg.norm((A * e) @ X.T)),
         gradient_norm=float(np.sqrt(np.sum(dW * dW) + dz @ dz)),
         min_neural_input=float(np.min(np.abs(P))) if P.size else float("inf"),
         boundary_hits=int(np.sum(np.abs(P) <= DEFAULT_TAU)),
@@ -45,32 +46,51 @@ def dlm_condition(params, data):
 
 
 def rank_condition_oracle(A, X):
-    """Exhaustively test |S| <= rank(A_S) * d0 over every nonempty subset S.
+    """Decide |S| <= rank(A_S) * d0 for every nonempty column subset S.
+
+    That holds exactly when the columns of A split into d0 sets independent
+    under numerical_rank (Nash-Williams).  Edmonds' matroid partition adds
+    one column at a time along a shortest augmenting path.
 
     Returns (holds, witness): witness is None when the condition holds,
-    otherwise the lexicographically first violating subset of minimum size.
+    otherwise the sorted columns T the failed search reached; |T| > d0 *
+    rank(A_T), but T need not be a smallest violator.
 
     Raises
     ------
     DomainError
         If A (d1, N) or X (d0, N) has a dimension below 1.
     InstanceTooLarge
-        If the instance has more than 22 columns.
+        If the instance has more than MAX_ORACLE_SAMPLES columns.
     """
     A = np.asarray(A, dtype=float)
     X = np.asarray(X, dtype=float)
     if min(A.shape + X.shape) < 1:
         raise DomainError(f"d1, d0 and N must be at least 1, got A {A.shape} and X {X.shape}")
-    d0 = X.shape[0]
     N = A.shape[1]
     if N > MAX_ORACLE_SAMPLES:
-        raise InstanceTooLarge(f"subset enumeration capped at N = {MAX_ORACLE_SAMPLES}")
-    for size in range(1, N + 1):
-        for S in combinations(range(N), size):
-            sub = A[:, S]
-            # rank >= 1 already settles subsets of at most d0 columns
-            if size <= d0 and np.any(sub != 0.0):
-                continue
-            if size > numerical_rank(sub) * d0:
-                return False, tuple(S)
+        raise InstanceTooLarge(f"rank oracle capped at N = {MAX_ORACLE_SAMPLES}")
+    home = [None] * N   # index of the part holding each column
+
+    def independent(cols):
+        return numerical_rank(A[:, cols]) == len(cols)
+
+    for s in range(N):
+        parts = [[c for c in range(s) if home[c] == j] for j in range(X.shape[0])]
+        came_from, queue = {s: None}, deque([s])
+        while queue:
+            x = queue.popleft()
+            others = [j for j in range(len(parts)) if j != home[x]]
+            i = next((j for j in others if independent(parts[j] + [x])), None)
+            if i is not None:
+                break
+            for j in others:   # edge x -> y when part j may swap y for x
+                for y in parts[j]:
+                    if y not in came_from and independent([c for c in parts[j] if c != y] + [x]):
+                        came_from[y] = x
+                        queue.append(y)
+        else:
+            return False, tuple(sorted(came_from))
+        while x is not None:   # x enters part i; the part it leaves takes its predecessor
+            home[x], i, x = i, home[x], came_from[x]
     return True, None

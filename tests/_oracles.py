@@ -4,15 +4,17 @@ Everything here checks library results through a different route than the
 code under test (angular sweeps instead of binomial sums, LP feasibility
 instead of closed forms, finite differences instead of analytic gradients,
 scipy root finding and bounded minimization instead of bisection and
-golden-section search).
+golden-section search, subset enumeration instead of matroid partition).
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import brentq, linprog, minimize_scalar
 from scipy.special import log_ndtr
 
+from landscape.linalg import numerical_rank
 from landscape.network import NetParams, mse
 
 
@@ -30,6 +32,26 @@ def count_dichotomies_sweep_2d(X):
         if np.all(s != 0):
             patterns.add(tuple(s.astype(int)))
     return len(patterns)
+
+
+def rank_condition_exhaustive(A, d0):
+    """Test |S| <= rank(A_S) * d0 over all 2^N - 1 nonempty column subsets S.
+
+    Returns (holds, witness): witness is None when the condition holds,
+    otherwise the lexicographically first violating subset of minimum size.
+    Meant for N <= 22.
+    """
+    A = np.asarray(A, dtype=float)
+    N = A.shape[1]
+    for size in range(1, N + 1):
+        for S in combinations(range(N), size):
+            sub = A[:, S]
+            # rank >= 1 already settles subsets of at most d0 columns
+            if size <= d0 and np.any(sub != 0.0):
+                continue
+            if size > numerical_rank(sub) * d0:
+                return False, S
+    return True, None
 
 
 def count_dichotomies_lp(X, tol=1e-7):

@@ -512,7 +512,7 @@ class TestRankOracleCommand:
         assert outputs["holds"] == outputs["full_column_rank"]
 
     def test_cap_exits_one(self):
-        assert run_cli("rank-oracle", "--d0", "2", "--d1", "1", "--n", "23") == 1
+        assert run_cli("rank-oracle", "--d0", "2", "--d1", "1", "--n", "257") == 1
 
 
 class TestReproducibility:

@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import rank_condition_exhaustive
 from landscape.construct import build_global_minimum
 from landscape.errors import DomainError, InstanceTooLarge
 from landscape.linalg import numerical_rank
@@ -11,6 +14,7 @@ from landscape.network import (
     NetParams,
     activation_slopes,
     khatri_rao,
+    residual,
 )
 from landscape.stationarity import dlm_condition, rank_condition_oracle
 from landscape.train import TrainConfig, adam_train, gen_gaussian_dataset, he_init
@@ -35,9 +39,18 @@ class TestDlmCondition:
         direct = np.linalg.norm(khatri_rao(A, data.X) @ data.y)
         assert abs(report.residual_norm - direct) <= 1e-12 * (1 + direct)
 
-    def test_converged_training_run_is_nearly_stationary(self):
-        from landscape.network import residual
+    @pytest.mark.parametrize("d0, N", [(20, 200), (5, 400), (50, 1000)])
+    def test_residual_matches_khatri_rao_product(self, d0, N):
+        data = gen_gaussian_dataset(d0, N, seed=d0)
+        built = build_global_minimum(data, rho=0.0, seed=1).params
+        detuned = NetParams(W=built.W, z=0.9 * built.z, rho=built.rho)
+        for params in (built, detuned):
+            A = activation_slopes(params.W @ data.X, params.rho)
+            direct = np.linalg.norm(khatri_rao(A, data.X) @ residual(params, data))
+            report = dlm_condition(params, data)
+            assert abs(report.residual_norm - direct) <= 1e-12 * direct
 
+    def test_converged_training_run_is_nearly_stationary(self):
         data = gen_gaussian_dataset(10, 30, seed=3)
         params = he_init(10, 10, seed=4, rho=0.0)
         config = TrainConfig(epochs=600, lr=0.01, lr_decay_epochs=300, seed=5,
@@ -90,6 +103,20 @@ class TestRegionMembership:
             assert _inside(scales * W, X, A)
 
 
+@st.composite
+def _patterns(draw):
+    """Activation patterns of a random network, or arbitrary {0, rho, 1} matrices."""
+    d0, d1, N = (draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 10)))
+    rho = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        X = rng.standard_normal((d0, N))
+        return activation_slopes(rng.standard_normal((d1, d0)) @ X, rho), X
+    entries = st.sampled_from([0.0, rho, 1.0])
+    A = np.array(draw(st.lists(entries, min_size=d1 * N, max_size=d1 * N))).reshape(d1, N)
+    return A, np.ones((d0, N))
+
+
 class TestRankConditionOracle:
     def test_wide_all_ones_pattern_fails(self):
         # rank(A_S) = 1 for the all-ones pattern, so any subset larger than
@@ -123,7 +150,19 @@ class TestRankConditionOracle:
 
     def test_cap(self):
         with pytest.raises(InstanceTooLarge):
-            rank_condition_oracle(np.ones((1, 23)), np.ones((1, 23)))
+            rank_condition_oracle(np.ones((1, 257)), np.ones((1, 257)))
+
+    # seed 3 draws a pattern on which the condition fails although 4 * d1 >= 64
+    @pytest.mark.parametrize("d1, seed, expected", [(16, 0, True), (20, 2, True),
+                                                    (16, 3, False), (18, 3, False)])
+    def test_matches_khatri_rao_rank_at_64_samples(self, d1, seed, expected):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((4, 64))
+        A = activation_slopes(rng.standard_normal((d1, 4)) @ X, 0.5)
+        holds, witness = rank_condition_oracle(A, X)
+        assert holds == (numerical_rank(khatri_rao(A, X), 1e-8) == 64) == expected
+        if not holds:
+            assert len(witness) > 4 * numerical_rank(A[:, list(witness)])
 
     def test_matches_khatri_rao_rank_small(self):
         # spot check of the full equivalence (exhaustive version in acceptance)
@@ -136,3 +175,16 @@ class TestRankConditionOracle:
                     A = np.array(flat).reshape(2, N)
                     holds, _ = rank_condition_oracle(A, X)
                     assert holds == (numerical_rank(khatri_rao(A, X), 1e-8) == N)
+
+    @settings(deadline=None)
+    @given(_patterns())
+    def test_agrees_with_exhaustive_enumeration(self, instance):
+        A, X = instance
+        d0 = X.shape[0]
+        holds, witness = rank_condition_oracle(A, X)
+        assert holds == rank_condition_exhaustive(A, d0)[0]
+        if holds:
+            assert witness is None
+        else:
+            assert witness == tuple(sorted(witness))
+            assert len(witness) > d0 * numerical_rank(A[:, list(witness)])
