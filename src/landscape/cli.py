@@ -295,21 +295,17 @@ def volume_global(args):
     rng = np.random.default_rng(args.pattern_seed)
     X = rng.standard_normal((args.d0, args.n))
     Wstar = rng.standard_normal((args.d1star, args.d0))
-    d1 = args.d1 if args.d1 is not None else args.d1star
-    est = volume_mod.estimate_global_region_volume(
-        X, Wstar, d1, args.trials, args.seed, args.workers
-    )
+    region = volume_mod.RegionSpec.from_sign_match(X, Wstar, d1=args.d1)
     sin_alpha = construct_mod.angular_margin(X, Wstar).sin_alpha
     exact, asymptotic_log = bounds_mod.global_volume_lower_bound(args.d0, args.d1star, sin_alpha)
-    return {
-        "estimate": asdict(est),
-        "bound": {
-            "sin_alpha": sin_alpha,
-            "lower_exact": exact,
-            "lower_log": bounds_mod.global_volume_log_lower_bound(args.d0, args.d1star, sin_alpha),
-            "asymptotic_log": asymptotic_log,
-        },
+    bound = {
+        "sin_alpha": sin_alpha,
+        "lower_exact": exact,
+        "lower_log": bounds_mod.global_volume_log_lower_bound(args.d0, args.d1star, sin_alpha),
+        "asymptotic_log": asymptotic_log,
     }
+    est = volume_mod.estimate_angular_volume(region, args.trials, args.seed, args.workers)
+    return {"estimate": asdict(est), "bound": bound}
 
 
 def volume_orthant(args):

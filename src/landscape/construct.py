@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateData, TargetTooSmall, ZeroVector
-from .linalg import canonical_sign, nullspace_basis, nullspace_direction, solve_linear
-from .network import NetParams, check_leak, evaluate, lrelu, mean_square
+from .linalg import DEFAULT_RANK_TOL, canonical_sign, nullspace_basis, solve_linear
+from .network import NetParams, check_leak, evaluate, mean_square
 
 # |w . x| below this (relative to the column norm) counts as a degenerate hit.
 _DEGENERATE_TOL = 1e-13
@@ -58,46 +58,26 @@ def partition_positive(y, d0):
     return [positives[i:i + width] for i in range(0, len(positives), width)]
 
 
-def trapezoid(x, eps1, eps2, rho):
-    """Four-rectifier bump: 1 on [-eps2, eps2], 0 outside [-eps1, eps1], linear between."""
-    if not eps1 > eps2 > 0:
-        raise ValueError("need eps1 > eps2 > 0")
-    check_leak(rho)
-    scale = 1.0 / ((eps1 - eps2) * (1.0 - rho))
-    return scale * (
-        lrelu(x + eps1, rho)
-        - lrelu(x + eps2, rho)
-        - lrelu(x - eps2, rho)
-        + lrelu(x - eps1, rho)
-    )
-
-
 def _block_directions(X, subset, rng):
     """Hyperplane normal for the subset, redrawn inside the null space if needed."""
-    Xs = X[:, subset]
-    M = Xs.T
+    basis = nullspace_basis(X[:, subset].T)
+    if basis.shape[1] != X.shape[0] - len(subset):
+        raise DegenerateData(
+            f"rank(M) < {len(subset)} at relative tolerance {DEFAULT_RANK_TOL:g}"
+        )
     outside = np.setdiff1d(np.arange(X.shape[1]), subset)
     X_out = X[:, outside]
-    col_scale = np.linalg.norm(X_out, axis=0) if outside.size else None
-
-    def degenerate(v):
-        if outside.size == 0:
-            return False
-        return bool(np.any(np.abs(v @ X_out) <= _DEGENERATE_TOL * col_scale))
-
-    w = nullspace_direction(M)
-    if not degenerate(w):
-        return w, outside
-    basis = nullspace_basis(M)
-    if basis.shape[1] > 1:
-        for _ in range(_REDRAW_ATTEMPTS):
+    floor = _DEGENERATE_TOL * np.linalg.norm(X_out, axis=0)
+    # the first candidate is the smallest singular direction; a one-dimensional
+    # null space has no other direction to redraw
+    v = basis[:, -1]
+    for attempt in range(1 + (_REDRAW_ATTEMPTS if basis.shape[1] > 1 else 0)):
+        if attempt:
             v = basis @ rng.standard_normal(basis.shape[1])
-            norm = np.linalg.norm(v)
-            if norm == 0.0:
-                continue
-            v = canonical_sign(v / norm)
-            if not degenerate(v):
-                return v, outside
+            v = v / np.linalg.norm(v)
+        v = canonical_sign(v)
+        if np.all(np.abs(v @ X_out) > floor):
+            return v, outside
     raise DegenerateData(
         "a group hyperplane passes through an outside sample; "
         "perturb X infinitesimally and rebuild"

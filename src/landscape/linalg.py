@@ -45,28 +45,6 @@ def solve_linear(A, b):
     return x
 
 
-def nullspace_direction(M):
-    """Unit vector v with M v = 0 for a k x d matrix, k < d.
-
-    Deterministic for a fixed input: the right singular vector of the
-    smallest singular value, sign-normalized so the first nonzero
-    coordinate is positive.
-
-    Raises
-    ------
-    DegenerateData
-        If rank(M) < k at relative tolerance DEFAULT_RANK_TOL (non-generic input).
-    """
-    M = np.asarray(M, dtype=float)
-    k, d = M.shape
-    if k >= d:
-        raise ValueError("nullspace_direction requires k < d")
-    _, s, Vt = np.linalg.svd(M, full_matrices=True)
-    if s[0] == 0.0 or s[k - 1] <= DEFAULT_RANK_TOL * s[0]:
-        raise DegenerateData(f"rank(M) < {k} at relative tolerance {DEFAULT_RANK_TOL:g}")
-    return canonical_sign(Vt[-1])
-
-
 def nullspace_basis(M):
     """Orthonormal basis (d, d - rank) of the null space of a k x d matrix."""
     M = np.asarray(M, dtype=float)

@@ -77,13 +77,6 @@ class Dataset:
         return self.X.shape[0]
 
 
-def lrelu(U, rho):
-    """Elementwise leaky rectifier: u for u > 0, rho * u for u < 0, 0 at 0."""
-    check_leak(rho)
-    U = np.asarray(U, dtype=float)
-    return np.where(U > 0.0, U, rho * U)
-
-
 def activation_slopes(P, rho):
     """Slope matrix of the rectifier at pre-activations P, with slope 1 at zero."""
     return np.where(np.asarray(P) >= 0.0, 1.0, rho)

@@ -242,6 +242,8 @@ def scan_overparam(d_values, N_factors, seeds, config):
         raise ValueError("d_values and N_factors must be nonempty")
     if seeds < 1:
         raise ValueError("seeds must be at least 1")
+    if any(d < 1 for d in d_values) or not all(f > 0 for f in N_factors):
+        raise DomainError("every d must be at least 1 and every N factor positive")
     rows = []
     for ci, (d, f) in enumerate(product(d_values, N_factors)):
         N = max(1, round(f * d * d))

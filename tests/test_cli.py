@@ -379,6 +379,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and ("at least 1" in err or "N >= 2" in err), err
 
+    def test_global_d0_below_two_exits_one_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        from landscape import volume
+
+        monkeypatch.setattr(volume, "block_rng", None)   # a Monte Carlo draw would raise TypeError
+        out = tmp_path / "never.json"
+        argv = "volume global --d0 1 --d1star 2 --n 4 --trials 10 --seed 1"
+        assert run_cli(*argv.split(), "--out", str(out)) == 1
+        assert not out.exists()
+        assert "d0 must be at least 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         pytest.param("volume coherence --m 5 --n 3 --eps nan --trials 10 --seed 1",
                      id="volume-coherence-eps-nan"),
@@ -413,6 +423,10 @@ class TestExitCodes:
                      id="scan-d-values-scalar"),
         pytest.param("scan", '{"d_values": [4], "n_factors": [1.0], "seeds": 0, "epochs": 1}',
                      id="scan-seeds-0"),
+        pytest.param("scan", '{"d_values": [4], "n_factors": [-3.0, 0.0], "seeds": 1, "epochs": 1}',
+                     id="scan-factors-nonpositive"),
+        pytest.param("scan", '{"d_values": [12, -2], "n_factors": [1.0], "seeds": 1, "epochs": 1}',
+                     id="scan-d-negative"),
         pytest.param("train", '{"dataset": {"d0": 3, "n": 4}, "epochs": 1, "seed": "3"}',
                      id="train-seed-string"),
         pytest.param("train", '{"dataset": {"d0": 3, "n": 4}, "epochs": 1.5}',

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,10 @@ from landscape.construct import (
     angular_margin,
     build_global_minimum,
     partition_positive,
-    trapezoid,
 )
 from landscape.errors import BadLeak, DegenerateData, TargetTooSmall, ZeroVector
-from landscape.network import Dataset, forward, lrelu, mce, mse
+from landscape.linalg import canonical_sign, nullspace_basis
+from landscape.network import Dataset, evaluate, forward, mce, mse
 from landscape.train import gen_gaussian_dataset
 
 
@@ -24,37 +26,6 @@ class TestPartitionPositive:
 
     def test_single_subset(self):
         assert partition_positive(np.array([1.0, 0.0, 1.0]), d0=4) == [[0, 2]]
-
-
-class TestTrapezoid:
-    def test_plateau_value(self):
-        assert trapezoid(0.0, 1.0, 0.5, 0.1) == pytest.approx(1.0)
-
-    def test_outside_support(self):
-        assert trapezoid(2.0, 1.0, 0.5, 0.1) == pytest.approx(0.0, abs=1e-15)
-
-    def test_ramp_midpoint(self):
-        eps1, eps2 = 1.0, 0.5
-        assert trapezoid((eps1 + eps2) / 2, eps1, eps2, 0.3) == pytest.approx(0.5)
-
-    def test_matches_piecewise_form(self):
-        rng = np.random.default_rng(0)
-        eps1, eps2, rho = 0.8, 0.3, 0.25
-        for x in rng.uniform(-2, 2, 200):
-            expected = (
-                0.0 if abs(x) > eps1
-                else 1.0 if abs(x) <= eps2
-                else (eps1 - abs(x)) / (eps1 - eps2)
-            )
-            assert trapezoid(x, eps1, eps2, rho) == pytest.approx(expected, abs=1e-12)
-
-    def test_is_the_four_unit_combination(self):
-        eps1, eps2, rho = 0.7, 0.2, 0.4
-        scale = 1.0 / ((eps1 - eps2) * (1.0 - rho))
-        for x in np.linspace(-1.5, 1.5, 41):
-            direct = scale * (lrelu(x + eps1, rho) - lrelu(x + eps2, rho)
-                              - lrelu(x - eps2, rho) + lrelu(x - eps1, rho))
-            assert trapezoid(x, eps1, eps2, rho) == pytest.approx(direct, abs=1e-14)
 
 
 class TestBuildGlobalMinimum:
@@ -80,7 +51,7 @@ class TestBuildGlobalMinimum:
         for k, block in enumerate(built.blocks):
             rows = built.params.W[4 * k: 4 * k + 4]
             z_block = built.params.z[4 * k: 4 * k + 4]
-            response = lrelu(rows @ data.X, 0.2).T @ z_block
+            response = evaluate(rows, z_block, 0.2, data.X)[3]
             expected = np.zeros(data.n_samples)
             expected[list(block.indices)] = 1.0
             np.testing.assert_allclose(response, expected, atol=1e-9)
@@ -189,6 +160,72 @@ class TestBuildGlobalMinimum:
         b = build_global_minimum(data, rho=0.1, target_d1=40, seed=14)
         np.testing.assert_array_equal(a.params.W, b.params.W)
         np.testing.assert_array_equal(a.params.z, b.params.z)
+
+
+def _two_positives_and(outside):
+    """Samples 0 and 1 positive in R^4, column 5 replaced by outside(X, null-space basis)."""
+    X = np.random.default_rng(20).standard_normal((4, 12))
+    X[:, 5] = outside(X, nullspace_basis(X[:, :2].T))
+    y = np.zeros(12)
+    y[:2] = 1.0
+    return Dataset(X=X, y=y)
+
+
+def _on_first_candidate(X, basis):
+    # in the plane of the group's first candidate normal basis[:, -1], off the group's span
+    return 0.7 * X[:, 0] - 0.4 * X[:, 1] + basis[:, 0]
+
+
+def _in_group_span(X, basis):
+    return X[:, 0] + X[:, 1]
+
+
+class TestRedrawPath:
+    def test_outside_sample_on_first_candidate_still_builds(self):
+        data = _two_positives_and(_on_first_candidate)
+        first = canonical_sign(nullspace_basis(data.X[:, :2].T)[:, -1])
+        assert abs(first @ data.X[:, 5]) <= 1e-13 * np.linalg.norm(data.X[:, 5])
+        built = build_global_minimum(data, rho=0.1, seed=3)
+        w = built.blocks[0].w_tilde / np.linalg.norm(built.blocks[0].w_tilde)
+        assert abs(w @ first) < 1.0 - 1e-6          # the normal was redrawn
+        assert mse(built.params, data) <= 1e-18
+        assert mce(built.params, data) == 0.0
+
+    def test_outside_sample_in_group_span_is_refused(self):
+        data = _two_positives_and(_in_group_span)
+        with pytest.raises(DegenerateData, match="passes through an outside sample"):
+            build_global_minimum(data, rho=0.1, seed=3)
+
+    def test_pinned_build_digest(self):
+        # W and z of built cases, type and message of refused ones, to the last bit
+        # (numpy 2.4, bundled OpenBLAS, x86-64): a change to the construction's
+        # arithmetic, to its random draws or to which inputs it refuses shows here.
+        repeated = Dataset(X=np.array([[1.0, 1.0, 0.3], [2.0, 2.0, -1.0], [0.5, 0.5, 0.7]]),
+                           y=np.array([1.0, 1.0, 0.0]))
+        flat = Dataset(X=np.random.default_rng(21).standard_normal((3, 8)),
+                       y=np.array([1.0, 1.0, 0, 0, 0, 0, 0, 0]))
+        flat.X[:, 4] = 0.3 * flat.X[:, 0] - 1.2 * flat.X[:, 1]
+        cases = [
+            (gen_gaussian_dataset(3, 10, seed=40), 0.0, None),
+            (gen_gaussian_dataset(5, 40, seed=41), 0.1, 30),
+            (gen_gaussian_dataset(8, 60, seed=42), 0.5, None),
+            (_two_positives_and(_on_first_candidate), 0.1, None),
+            (_two_positives_and(_on_first_candidate), 0.0, 12),
+            (_two_positives_and(_in_group_span), 0.1, None),
+            (flat, 0.0, None),
+            (repeated, 0.0, None),
+        ]
+        h = hashlib.sha256()
+        for k, (data, rho, target_d1) in enumerate(cases):
+            try:
+                built = build_global_minimum(data, rho=rho, target_d1=target_d1, seed=k)
+            except DegenerateData as exc:
+                h.update(f"{type(exc).__name__}: {exc}".encode())
+            else:
+                h.update(built.params.W.tobytes())
+                h.update(built.params.z.tobytes())
+        assert h.hexdigest() == (
+            "12ff5d16eb7f0666494cae56fb0744a08a27c1bef8f2ad3ed667700d3e81ec8a")
 
 
 class TestAngularMargin:

@@ -5,7 +5,6 @@ from landscape.errors import DegenerateData
 from landscape.linalg import (
     canonical_sign,
     nullspace_basis,
-    nullspace_direction,
     numerical_rank,
     solve_linear,
 )
@@ -52,42 +51,6 @@ class TestSolveLinear:
             assert np.linalg.norm(A @ x - b) <= 1e-10 * (1 + np.linalg.norm(b))
 
 
-class TestNullspaceDirection:
-    def test_orthogonal_complement_of_e1(self):
-        v = nullspace_direction(np.array([[1.0, 0.0]]))
-        np.testing.assert_allclose(v, [0.0, 1.0], atol=1e-14)
-
-    def test_two_rows(self):
-        v = nullspace_direction(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-        np.testing.assert_allclose(v, [0.0, 0.0, 1.0], atol=1e-14)
-
-    def test_canonical_sign_rule(self):
-        # unit solutions of v1 + v2 = 0 are +-(1, -1)/sqrt(2); the rule picks
-        # the one whose first nonzero coordinate is positive
-        v = nullspace_direction(np.array([[1.0, 1.0]]))
-        np.testing.assert_allclose(v, [1 / SQ2, -1 / SQ2], atol=1e-14)
-
-    def test_degenerate_raises(self):
-        M = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
-        with pytest.raises(DegenerateData):
-            nullspace_direction(M)
-
-    def test_random_generic_unit_norm_and_residual(self):
-        rng = np.random.default_rng(2)
-        for _ in range(1000):
-            d = int(rng.integers(2, 10))
-            k = int(rng.integers(1, d))
-            M = rng.standard_normal((k, d))
-            v = nullspace_direction(M)
-            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-            assert np.linalg.norm(M @ v) <= 1e-10
-
-    def test_determinism(self):
-        rng = np.random.default_rng(3)
-        M = rng.standard_normal((3, 5))
-        np.testing.assert_array_equal(nullspace_direction(M), nullspace_direction(M))
-
-
 class TestNullspaceBasis:
     def test_spans_null_space(self):
         rng = np.random.default_rng(4)
@@ -96,6 +59,31 @@ class TestNullspaceBasis:
         assert B.shape == (6, 4)
         assert np.linalg.norm(M @ B) <= 1e-10
         np.testing.assert_allclose(B.T @ B, np.eye(4), atol=1e-12)
+
+    @pytest.mark.parametrize("M, last", [
+        pytest.param([[1.0, 0.0]], [0.0, 1.0], id="complement-of-e1"),
+        pytest.param([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.0, 0.0, 1.0], id="two-rows"),
+        # unit solutions of v1 + v2 = 0 are +-(1, -1)/sqrt(2); the sign rule
+        # picks the one whose first nonzero coordinate is positive
+        pytest.param([[1.0, 1.0]], [1 / SQ2, -1 / SQ2], id="canonical-sign"),
+    ])
+    def test_last_column_under_canonical_sign(self, M, last):
+        np.testing.assert_allclose(canonical_sign(nullspace_basis(M)[:, -1]), last, atol=1e-14)
+
+    def test_random_generic_orthonormal_and_residual(self):
+        rng = np.random.default_rng(2)
+        for _ in range(1000):
+            d = int(rng.integers(2, 10))
+            k = int(rng.integers(1, d))
+            M = rng.standard_normal((k, d))
+            B = nullspace_basis(M)
+            assert B.shape == (d, d - k)
+            np.testing.assert_allclose(B.T @ B, np.eye(d - k), atol=1e-12)
+            assert np.linalg.norm(M @ B) <= 1e-10
+
+    def test_determinism(self):
+        M = np.random.default_rng(3).standard_normal((3, 5))
+        np.testing.assert_array_equal(nullspace_basis(M), nullspace_basis(M))
 
 
 class TestNumericalRank:

@@ -9,11 +9,11 @@ from landscape.network import (
     NetParams,
     activation_slopes,
     backward,
+    check_leak,
     evaluate,
     forward,
     gradient,
     khatri_rao,
-    lrelu,
     mce,
     mse,
     residual,
@@ -32,25 +32,6 @@ def _random_instance(rng, rho=None):
     return params, data
 
 
-class TestLrelu:
-    def test_positive_branch(self):
-        assert lrelu(2.0, 0.1) == 2.0
-
-    def test_negative_branch(self):
-        assert lrelu(-2.0, 0.1) == pytest.approx(-0.2)
-
-    def test_zero(self):
-        assert lrelu(0.0, 0.7) == 0.0
-
-    def test_elementwise_on_matrix(self):
-        out = lrelu(np.array([[1.0, -1.0], [0.0, -3.0]]), 0.5)
-        np.testing.assert_allclose(out, [[1.0, -0.5], [0.0, -1.5]])
-
-    def test_rho_one_rejected(self):
-        with pytest.raises(ValueError):
-            lrelu(1.0, 1.0)
-
-
 class TestActivationPattern:
     def test_signs(self):
         A = activation_slopes(np.array([[1.0]]) @ np.array([[3.0, -3.0]]), 0.5)
@@ -65,6 +46,18 @@ class TestActivationPattern:
     def test_sign_pattern_identity_input(self):
         A = activation_slopes(np.eye(2) @ np.array([[1.0, -1.0], [-1.0, 1.0]]), 0.0)
         np.testing.assert_array_equal(A, [[1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("P, rho, expected", [
+        pytest.param([[2.0]], 0.1, [[2.0]], id="positive"),
+        pytest.param([[-2.0]], 0.1, [[-0.2]], id="leak"),
+        pytest.param([[0.0]], 0.7, [[0.0]], id="zero"),
+        pytest.param([[1.0, -1.0], [0.0, -3.0]], 0.5, [[1.0, -0.5], [0.0, -1.5]], id="matrix"),
+    ])
+    def test_hidden_outputs_are_the_rectifier(self, P, rho, expected):
+        # W = P against identity inputs makes evaluate's pre-activations exactly P
+        P = np.array(P)
+        H = evaluate(P, np.ones(P.shape[0]), rho, np.eye(P.shape[1]))[2]
+        np.testing.assert_allclose(H, expected)
 
 
 class TestForward:
@@ -232,7 +225,7 @@ class TestValidation:
         with pytest.raises(BadLeak):
             NetParams(W=[[1.0]], z=[1.0], rho=rho)
         with pytest.raises(BadLeak):
-            lrelu(1.0, rho)
+            check_leak(rho)
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):

@@ -274,6 +274,18 @@ class TestScanOverparam:
         with pytest.raises(ValueError, match="seeds"):
             scan_overparam([4], [1.0], seeds=0, config=TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("d_values, factors", [
+        pytest.param([12, -2], [1.0], id="negative-d"),
+        pytest.param([4], [-3.0, 0.0], id="nonpositive-factors"),
+        pytest.param([4], [1.0, 0.0], id="zero-factor-last"),
+    ])
+    def test_bad_sizes_raise_before_training(self, monkeypatch, d_values, factors):
+        from landscape import train
+
+        monkeypatch.setattr(train, "_adam_train_stack", None)   # training would raise TypeError
+        with pytest.raises(DomainError, match="at least 1 and every N factor positive"):
+            scan_overparam(d_values, factors, seeds=1, config=TrainConfig(epochs=1))
+
 
 class TestDlmDiagnostic:
     def test_rows_and_sample_count_formula(self):
