@@ -1,10 +1,11 @@
 """Command-line front end: seeded experiment commands with JSON/CSV outputs.
 
-Every command builds a RunRecord carrying its full configuration snapshot
-and seed, so rerunning with the recorded values reproduces all numeric
-outputs bit for bit in single-threaded mode.  Structured results go to a
-JSON document, plot-ready tables to CSV, both written atomically
-(temp file and rename), and the outputs object is printed to stdout.
+Every command builds a RunRecord with its seed and config: the flags of
+an argv command, the config snapshot of a JSON one.  Rerunning with the
+recorded values reproduces all numeric outputs bit for bit in
+single-threaded mode.  Structured results go to a JSON document,
+plot-ready tables to CSV, both written atomically (temp file and
+rename), and the outputs object is printed to stdout.
 """
 
 import argparse
@@ -187,17 +188,16 @@ def _dataset_from_config(spec):
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_construct(args):
+def construct(args):
     if args.data is not None:
         if args.d0 is not None or args.n is not None:
             raise UsageError("--data and --d0/--n are mutually exclusive")
-        data = load_dataset_csv(args.data)
-        dataset_cfg = {"path": args.data}
+        spec = {"path": args.data}
     else:
         if args.d0 is None or args.n is None:
             raise UsageError("construct needs --data or both --d0 and --n")
-        data = train_mod.gen_gaussian_dataset(args.d0, args.n, args.data_seed)
-        dataset_cfg = {"d0": args.d0, "n": args.n, "seed": args.data_seed}
+        spec = {"d0": args.d0, "n": args.n, "seed": args.data_seed}
+    data, _ = _dataset_from_config(spec)
     built = construct_mod.build_global_minimum(
         data, rho=args.rho, target_d1=args.target_d1, seed=args.seed
     )
@@ -210,6 +210,7 @@ def cmd_construct(args):
         "mse": mean_square(data.y - yhat),
         "mce": misclassified(data.y, yhat),
     }
+    outputs["min_neural_input"] = outputs["margin"] = None   # an empty network has neither
     if params.d1:
         outputs["min_neural_input"] = float(np.min(np.abs(P)))
         margin = construct_mod.angular_margin(data.X, params.W)
@@ -218,11 +219,7 @@ def cmd_construct(args):
             "row": margin.argmin_pair[0],
             "sample": margin.argmin_pair[1],
         }
-    else:
-        outputs["min_neural_input"] = None
-        outputs["margin"] = None
-    config = {"dataset": dataset_cfg, "rho": args.rho, "target_d1": args.target_d1}
-    return RunRecord("construct", config, args.seed or 0, outputs=outputs)
+    return outputs
 
 
 def cmd_train(args):
@@ -275,26 +272,30 @@ def cmd_diagnostic(args):
 
 
 def cmd_kind(args):
-    """RunRecord of one `volume` or `bounds` kind: its outputs under the flags it ran with."""
+    """RunRecord of an argv command: its outputs, with every argparse dest that holds a value."""
     config = {k: v for k, v in vars(args).items()
               if k not in {"func", "outputs", "out", "workers"} and v is not None}
-    command = f"{args.command} {config[args.command + '_kind']}"
+    kind = config.get(f"{args.command}_kind")
+    command = f"{args.command} {kind}" if kind else args.command
     return RunRecord(command, config, config.get("seed", 0), outputs=args.outputs(args))
 
 
+def _gaussian_instance(seed, d0, n, rows):
+    """Standard normal X (d0, n), then W (rows, d0), from one default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((d0, n))
+    return X, rng.standard_normal((rows, d0))
+
+
 def volume_angular(args):
-    rng = np.random.default_rng(args.pattern_seed)
-    X = rng.standard_normal((args.d0, args.n))
-    W0 = rng.standard_normal((args.d1, args.d0))
+    X, W0 = _gaussian_instance(args.pattern_seed, args.d0, args.n, args.d1)
     region = volume_mod.RegionSpec.from_activation_pattern(activation_slopes(W0 @ X, 0.5), X)
     est = volume_mod.estimate_angular_volume(region, args.trials, args.seed, args.workers)
     return {"estimate": asdict(est), "bound": None}
 
 
 def volume_global(args):
-    rng = np.random.default_rng(args.pattern_seed)
-    X = rng.standard_normal((args.d0, args.n))
-    Wstar = rng.standard_normal((args.d1star, args.d0))
+    X, Wstar = _gaussian_instance(args.pattern_seed, args.d0, args.n, args.d1star)
     region = volume_mod.RegionSpec.from_sign_match(X, Wstar, d1=args.d1)
     sin_alpha = construct_mod.angular_margin(X, Wstar).sin_alpha
     exact, asymptotic_log = bounds_mod.global_volume_lower_bound(args.d0, args.d1star, sin_alpha)
@@ -410,22 +411,18 @@ def bounds_beta(args):
     return {"bound": bounds_mod.beta_angle_bounds(args.d0, value, args.which)}
 
 
-def cmd_rank_oracle(args):
+def rank_oracle(args):
     check_leak(args.rho)
-    rng = np.random.default_rng(args.seed)
-    X = rng.standard_normal((args.d0, args.n))
-    W = rng.standard_normal((args.d1, args.d0))
+    X, W = _gaussian_instance(args.seed, args.d0, args.n, args.d1)
     A = activation_slopes(W @ X, args.rho)
     holds, witness = rank_condition_oracle(A, X)
     kr_rank = numerical_rank(khatri_rao(A, X), 1e-8)
-    outputs = {
+    return {
         "holds": holds,
         "witness": list(witness) if witness is not None else None,
         "khatri_rao_rank": kr_rank,
         "full_column_rank": kr_rank == args.n,
     }
-    config = {"d0": args.d0, "d1": args.d1, "n": args.n, "rho": args.rho}
-    return RunRecord("rank-oracle", config, args.seed, outputs=outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +433,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _kind_parser(sub, name, outputs, ints=(), floats=()):
-    """Subparser for one kind with its required int and float flags; cmd_kind records it."""
-    p = sub.add_parser(name)
+def _kind_parser(sub, name, outputs, ints=(), floats=(), **kwargs):
+    """Subparser for one argv command with its required int and float flags; cmd_kind records it."""
+    p = sub.add_parser(name, **kwargs)
     for flags, kind in ((ints, int), (floats, float)):
         for flag in flags:
             p.add_argument(flag, type=kind, required=True)
@@ -450,7 +447,7 @@ def build_parser():
     parser = _Parser(prog="landscape", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="build an exact zero-error network")
+    p = _kind_parser(sub, "construct", construct, help="build an exact zero-error network")
     p.add_argument("--data", help="dataset CSV path")
     p.add_argument("--d0", type=int, help="synthetic input dimension")
     p.add_argument("--n", type=int, help="synthetic sample count")
@@ -459,7 +456,6 @@ def build_parser():
     p.add_argument("--target-d1", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="RunRecord JSON path")
-    p.set_defaults(func=cmd_construct)
 
     for name, fn in (("train", cmd_train), ("scan", cmd_scan), ("diagnostic", cmd_diagnostic)):
         p = sub.add_parser(name, help=f"run the {name} protocol from a JSON config")
@@ -509,14 +505,11 @@ def build_parser():
     for pb in bsub.choices.values():
         pb.add_argument("--out")
 
-    p = sub.add_parser("rank-oracle", help="subset rank condition by matroid partition, N <= 256")
-    p.add_argument("--d0", type=int, required=True)
-    p.add_argument("--d1", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = _kind_parser(sub, "rank-oracle", rank_oracle, ints=("--d0", "--d1", "--n"),
+                     help="subset rank condition by matroid partition, N <= 256")
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_rank_oracle)
 
     return parser
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateData, TargetTooSmall, ZeroVector
+from .errors import DegenerateData, DomainError, TargetTooSmall, ZeroVector
 from .linalg import DEFAULT_RANK_TOL, canonical_sign, nullspace_basis, solve_linear
 from .network import NetParams, check_leak, evaluate, mean_square
 
@@ -52,21 +52,22 @@ class MarginCertificate:
 def partition_positive(y, d0):
     """Split the positive-label index set into runs of at most d0 - 1 samples."""
     if d0 < 2:
-        raise ValueError("d0 must be at least 2")
+        raise DomainError(f"construction needs d0 >= 2, got d0 = {d0}")
     positives = [int(n) for n in np.flatnonzero(np.asarray(y) == 1.0)]
     width = d0 - 1
     return [positives[i:i + width] for i in range(0, len(positives), width)]
 
 
 def _block_directions(X, subset, rng):
-    """Hyperplane normal for the subset, redrawn inside the null space if needed."""
+    """Hyperplane normal for the subset, redrawn inside the null space if needed, and X_out."""
     basis = nullspace_basis(X[:, subset].T)
     if basis.shape[1] != X.shape[0] - len(subset):
         raise DegenerateData(
             f"rank(M) < {len(subset)} at relative tolerance {DEFAULT_RANK_TOL:g}"
         )
-    outside = np.setdiff1d(np.arange(X.shape[1]), subset)
-    X_out = X[:, outside]
+    outside = np.ones(X.shape[1], dtype=bool)
+    outside[subset] = False
+    X_out = X[:, outside]       # the samples outside the subset, in ascending order
     floor = _DEGENERATE_TOL * np.linalg.norm(X_out, axis=0)
     # the first candidate is the smallest singular direction; a one-dimensional
     # null space has no other direction to redraw
@@ -77,7 +78,7 @@ def _block_directions(X, subset, rng):
             v = v / np.linalg.norm(v)
         v = canonical_sign(v)
         if np.all(np.abs(v @ X_out) > floor):
-            return v, outside
+            return v, X_out
     raise DegenerateData(
         "a group hyperplane passes through an outside sample; "
         "perturb X infinitesimally and rebuild"
@@ -95,6 +96,8 @@ def build_global_minimum(data, rho, target_d1=None, seed=None):
     ------
     BadLeak
         If rho is not finite or is 1.
+    DomainError
+        If d0 < 2.
     DegenerateData
         If X sits on a measure-zero configuration the construction cannot use,
         such as a repeated positive sample.
@@ -104,22 +107,20 @@ def build_global_minimum(data, rho, target_d1=None, seed=None):
     check_leak(rho)
     X = data.X
     d0 = data.d0
-    if d0 < 2:
-        raise ValueError("construction requires d0 >= 2")
     rng = np.random.default_rng(seed)
 
     blocks = []
     rows = []
     z_entries = []
     for subset in partition_positive(data.y, d0):
-        w_unit, outside = _block_directions(X, subset, rng)
+        w_unit, X_out = _block_directions(X, subset, rng)
         system = np.vstack([X[:, subset].T, w_unit[None, :]])
         rhs = np.concatenate([np.ones(len(subset)), [0.0]])
         w_hat = solve_linear(system, rhs)
         w_tilde = w_unit * np.linalg.norm(w_hat)
-        if outside.size:
-            t_out = np.abs(w_tilde @ X[:, outside])
-            h_out = np.abs(w_hat @ X[:, outside])
+        if X_out.shape[1]:
+            t_out = np.abs(w_tilde @ X_out)
+            h_out = np.abs(w_hat @ X_out)
             if float(np.max(h_out)) == 0.0:
                 raise DegenerateData("offset direction orthogonal to every outside sample")
             # per-sample ratio keeps eps1 as large as sign stability allows,
@@ -162,8 +163,6 @@ def build_global_minimum(data, rho, target_d1=None, seed=None):
             )
         if np.min(np.abs(P)) == 0.0:
             raise DegenerateData("built network has a zero pre-activation; X is near-degenerate")
-    elif np.any(data.y != 0.0):
-        raise DegenerateData("empty construction cannot reproduce nonzero labels")
 
     return Construction(params=params, blocks=blocks, d1_star=d1_star)
 

@@ -94,7 +94,11 @@ class Adam:
 
 
 def derive_seed(*parts):
-    """Stable child seed from a label-and-index path (top seed first)."""
+    """Stable child seed from a label-and-index path (top seed first).
+
+    An int enters as its low 32 bits and a label as its first 4 UTF-8 bytes
+    only, so "scan-0" and "scan-1" collide: put indices in as ints.
+    """
     entropy = [p & 0xFFFFFFFF if isinstance(p, int) else _label_entropy(p) for p in parts]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
@@ -222,12 +226,15 @@ def _adam_train_stack(params, datasets, config, seeds):
     return results
 
 
-def _run_cell(d, N, config, top_seed, tag, seeds):
-    """Train seeds fresh d-by-d problems on N samples as one stack; their TrainResults."""
+def _run_cell(d, N, config, path, seeds):
+    """Train seeds fresh d-by-d problems on N samples as one stack; their TrainResults.
+
+    Seed i takes its data, init and run seeds from derive_seed(*path, i, 0..2).
+    """
     indices = range(seeds)
-    datasets = [gen_gaussian_dataset(d, N, derive_seed(top_seed, tag, i, 0)) for i in indices]
-    params = [he_init(d, d, derive_seed(top_seed, tag, i, 1), rho=config.rho) for i in indices]
-    run_seeds = [derive_seed(top_seed, tag, i, 2) for i in indices]
+    datasets = [gen_gaussian_dataset(d, N, derive_seed(*path, i, 0)) for i in indices]
+    params = [he_init(d, d, derive_seed(*path, i, 1), rho=config.rho) for i in indices]
+    run_seeds = [derive_seed(*path, i, 2) for i in indices]
     return [result for _, result in _adam_train_stack(params, datasets, config, run_seeds)]
 
 
@@ -247,8 +254,8 @@ def scan_overparam(d_values, N_factors, seeds, config):
     rows = []
     for ci, (d, f) in enumerate(product(d_values, N_factors)):
         N = max(1, round(f * d * d))
-        cell_mces = np.array([result.final_mce
-                              for result in _run_cell(d, N, config, config.seed, f"scan-{ci}", seeds)])
+        results = _run_cell(d, N, config, (config.seed, "scan", ci), seeds)
+        cell_mces = np.array([result.final_mce for result in results])
         rows.append({
             "d": d,
             "N": N,
@@ -269,6 +276,6 @@ def dlm_diagnostic(d, seeds, config):
     if d < 4:
         raise ValueError("d must be at least 4")
     N = d * d // 5
-    results = _run_cell(d, N, config, config.seed, "diagnostic", seeds)
+    results = _run_cell(d, N, config, (config.seed, "diagnostic"), seeds)
     return [{"seed_index": s, "min_neural_input": result.min_neural_input,
              "final_mse": result.final_mse} for s, result in enumerate(results)]

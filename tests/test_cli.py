@@ -195,6 +195,13 @@ class TestConstructCommand:
         assert rc == 1
         assert "mutually exclusive" in capsys.readouterr().err
 
+    def test_d0_below_two_exits_one_naming_d0(self, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        assert run_cli("construct", "--d0", "1", "--n", "5", "--out", str(out)) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "d0" in err, err
+
     def test_degenerate_data_exits_two(self, tmp_path, capsys):
         data = Dataset(X=np.array([[1.0, 2.0], [1.0, 2.0]]), y=np.array([1.0, 0.0]))
         csv_path = tmp_path / "degenerate.csv"
@@ -514,6 +521,70 @@ class TestPinnedKindOutputs:
         assert record["config"]["command"] == group
         assert record["config"][f"{group}_kind"] == kind
         assert record["outputs"] == expected
+
+
+def argv_from_config(config):
+    """The argv a flag-recording command's config describes: command, kind, then every flag."""
+    command = config["command"]
+    argv = [command] + ([config[f"{command}_kind"]] if f"{command}_kind" in config else [])
+    for key, value in config.items():
+        if key != "command" and not key.endswith("_kind"):
+            argv += ["--" + key.replace("_", "-"), str(value)]
+    return argv
+
+
+class TestArgvRecords:
+    @pytest.mark.parametrize("argv, flags", [
+        pytest.param("construct --d0 6 --n 30 --data-seed 2 --seed 3",
+                     {"d0": 6, "n": 30, "data_seed": 2, "seed": 3, "rho": 0.0},
+                     id="construct-synthetic"),
+        pytest.param("construct --d0 4 --n 12 --rho 0.25 --target-d1 40",
+                     {"d0": 4, "n": 12, "data_seed": 0, "seed": 0, "rho": 0.25, "target_d1": 40},
+                     id="construct-padded"),
+        pytest.param("rank-oracle --d0 3 --d1 4 --n 9 --seed 12",
+                     {"d0": 3, "d1": 4, "n": 9, "rho": 0.5, "seed": 12},
+                     id="rank-oracle"),
+    ])
+    def test_record_carries_command_and_flags(self, tmp_path, capsys, argv, flags):
+        out = tmp_path / "record.json"
+        assert run_cli(*argv.split(), "--out", str(out)) == 0
+        record = json.load(open(out))
+        assert record["command"] == argv.split()[0]
+        assert record["config"] == {"command": argv.split()[0], **flags}
+        assert record["seed"] == flags["seed"]
+
+    def test_construct_from_csv_records_its_path(self, tmp_path, capsys):
+        csv_path = tmp_path / "data.csv"
+        write_dataset_csv(csv_path, gen_gaussian_dataset(3, 10, seed=1))
+        out = tmp_path / "record.json"
+        assert run_cli("construct", "--data", str(csv_path), "--seed", "4", "--out", str(out)) == 0
+        record = json.load(open(out))
+        assert record["config"] == {"command": "construct", "data": str(csv_path),
+                                    "data_seed": 0, "rho": 0.0, "seed": 4}
+        replay = tmp_path / "replay.json"
+        assert run_cli(*argv_from_config(record["config"]), "--out", str(replay)) == 0
+        assert json.dumps(outputs_of(replay)) == json.dumps(record["outputs"])
+
+    @pytest.mark.parametrize("argv", [
+        "construct --d0 6 --n 30 --data-seed 2 --seed 3",
+        "construct --d0 4 --n 12 --rho 0.25 --target-d1 40",
+        "construct --d0 3 --n 8 --data-seed 5",
+        "rank-oracle --d0 3 --d1 4 --n 9 --seed 12",
+        "rank-oracle --d0 2 --d1 3 --n 7 --rho -0.5",
+        PINNED_KIND_OUTPUTS[1][0],
+        PINNED_KIND_OUTPUTS[-2][0],
+    ])
+    def test_rerun_from_config_reproduces_outputs(self, tmp_path, capsys, argv):
+        first = tmp_path / "first.json"
+        assert run_cli(*argv.split(), "--out", str(first)) == 0
+        printed = capsys.readouterr().out
+        record = json.load(open(first))
+        replay = tmp_path / "replay.json"
+        assert run_cli(*argv_from_config(record["config"]), "--out", str(replay)) == 0
+        assert capsys.readouterr().out == printed
+        replayed = json.load(open(replay))
+        assert replayed["config"] == record["config"]
+        assert json.dumps(replayed["outputs"]) == json.dumps(record["outputs"])
 
 
 class TestRankOracleCommand:

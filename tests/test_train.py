@@ -270,6 +270,24 @@ class TestScanOverparam:
         b = scan_overparam([4], [1.0], seeds=2, config=config)
         assert a == b
 
+    def test_cells_draw_their_own_streams(self, monkeypatch):
+        from landscape import train
+
+        seen = []
+
+        def spy(params, datasets, config, seeds):
+            seen.append(([d.X for d in datasets], [p.W for p in params], seeds))
+            return _adam_train_stack(params, datasets, config, seeds)
+
+        monkeypatch.setattr(train, "_adam_train_stack", spy)
+        config = TrainConfig(epochs=2, lr=0.01, seed=5)
+        rows = scan_overparam([6], [1.0, 1.0], seeds=3, config=config)
+        (X0, W0, s0), (X1, W1, s1) = seen
+        for a, b in zip(X0 + W0, X1 + W1):
+            assert not np.array_equal(a, b)
+        assert not set(s0) & set(s1)
+        assert rows[0]["mce_values"] != rows[1]["mce_values"]
+
     def test_zero_seeds_rejected(self):
         with pytest.raises(ValueError, match="seeds"):
             scan_overparam([4], [1.0], seeds=0, config=TrainConfig(epochs=1))
@@ -307,6 +325,15 @@ class TestDeriveSeed:
         assert derive_seed(7, "scan-0", 1, 0) == derive_seed(7, "scan-0", 1, 0)
         assert derive_seed(7, "scan-0", 1, 0) != derive_seed(7, "scan-0", 1, 1)
         assert derive_seed(7, "scan-0", 1, 0) != derive_seed(8, "scan-0", 1, 0)
+
+    def test_label_keeps_its_first_four_bytes(self):
+        assert derive_seed(7, "scan-0", 1, 0) == derive_seed(7, "scan-1", 1, 0)
+        assert derive_seed(7, "scan", 0, 1, 0) != derive_seed(7, "scan", 1, 1, 0)
+
+    def test_diagnostic_and_init_streams_pinned(self):
+        assert derive_seed(606, "diagnostic", 0, 0) == 18056850325611101768
+        assert derive_seed(606, "diagnostic", 9, 2) == 1069313142201077685
+        assert derive_seed(7, "init", 0) == 9515785155347926126
 
 
 class TestTrainConfigValidation:
