@@ -1,14 +1,16 @@
 """Command-line front end: seeded experiment commands with JSON/CSV outputs.
 
-Every command builds a RunRecord with its seed and config: the flags of
-an argv command, the config snapshot of a JSON one.  Rerunning with the
-recorded values reproduces all numeric outputs bit for bit in
-single-threaded mode.  Structured results go to a JSON document,
-plot-ready tables to CSV, both written atomically (temp file and
-rename), and the outputs object is printed to stdout.
+An argv command is one handler whose keyword parameters are its flags
+(data_seed is --data-seed).  Every command builds a RunRecord with its
+seed and config: the flags of an argv command, the config snapshot of a
+JSON one.  Rerunning with the recorded values reproduces all numeric
+outputs bit for bit in single-threaded mode.  Structured results go to a
+JSON document, plot-ready tables to CSV, both written atomically (temp
+file and rename), and the outputs object is printed to stdout.
 """
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -32,7 +34,7 @@ from .errors import (
 )
 from .linalg import numerical_rank
 from .network import (
-    Dataset, activation_slopes, check_leak, evaluate, khatri_rao, mean_square, misclassified,
+    Dataset, activation_slopes, check_leak, khatri_rao, mean_square, misclassified,
 )
 from .stationarity import rank_condition_oracle
 
@@ -188,32 +190,29 @@ def _dataset_from_config(spec):
 # ---------------------------------------------------------------------------
 # commands
 
-def construct(args):
-    if args.data is not None:
-        if args.d0 is not None or args.n is not None:
+def construct(*, data: str = None, d0: int = None, n: int = None, data_seed: int = 0,
+              rho: float = 0.0, target_d1: int = None, seed: int = 0):
+    if data is not None:
+        if d0 is not None or n is not None:
             raise UsageError("--data and --d0/--n are mutually exclusive")
-        spec = {"path": args.data}
+        spec = {"path": data}
     else:
-        if args.d0 is None or args.n is None:
+        if d0 is None or n is None:
             raise UsageError("construct needs --data or both --d0 and --n")
-        spec = {"d0": args.d0, "n": args.n, "seed": args.data_seed}
-    data, _ = _dataset_from_config(spec)
-    built = construct_mod.build_global_minimum(
-        data, rho=args.rho, target_d1=args.target_d1, seed=args.seed
-    )
-    params = built.params
-    P, _, _, yhat = evaluate(params.W, params.z, params.rho, data.X)
+        spec = {"d0": d0, "n": n, "seed": data_seed}
+    dataset, _ = _dataset_from_config(spec)
+    built = construct_mod.build_global_minimum(dataset, rho=rho, target_d1=target_d1, seed=seed)
     outputs = {
         "d1_star": built.d1_star,
         "blocks": len(built.blocks),
         "eps": [[b.eps1, b.eps2] for b in built.blocks],
-        "mse": mean_square(data.y - yhat),
-        "mce": misclassified(data.y, yhat),
+        "mse": mean_square(dataset.y - built.yhat),
+        "mce": misclassified(dataset.y, built.yhat),
+        "min_neural_input": built.min_neural_input,
+        "margin": None,     # an empty network has none
     }
-    outputs["min_neural_input"] = outputs["margin"] = None   # an empty network has neither
-    if params.d1:
-        outputs["min_neural_input"] = float(np.min(np.abs(P)))
-        margin = construct_mod.angular_margin(data.X, params.W)
+    if built.params.d1:
+        margin = construct_mod.angular_margin(dataset.X, built.params.W)
         outputs["margin"] = {
             "sin_alpha": margin.sin_alpha,
             "row": margin.argmin_pair[0],
@@ -272,12 +271,14 @@ def cmd_diagnostic(args):
 
 
 def cmd_kind(args):
-    """RunRecord of an argv command: its outputs, with every argparse dest that holds a value."""
+    """RunRecord of an argv command: its handler's outputs, with every flag that holds a value."""
     config = {k: v for k, v in vars(args).items()
-              if k not in {"func", "outputs", "out", "workers"} and v is not None}
+              if k not in {"func", "handler", "out", "workers"} and v is not None}
     kind = config.get(f"{args.command}_kind")
     command = f"{args.command} {kind}" if kind else args.command
-    return RunRecord(command, config, config.get("seed", 0), outputs=args.outputs(args))
+    params = inspect.signature(args.handler).parameters
+    outputs = args.handler(**{name: getattr(args, name) for name in params})
+    return RunRecord(command, config, config.get("seed", 0), outputs=outputs)
 
 
 def _gaussian_instance(seed, d0, n, rows):
@@ -287,142 +288,145 @@ def _gaussian_instance(seed, d0, n, rows):
     return X, rng.standard_normal((rows, d0))
 
 
-def volume_angular(args):
-    X, W0 = _gaussian_instance(args.pattern_seed, args.d0, args.n, args.d1)
+def volume_angular(*, d0: int, d1: int, n: int, pattern_seed: int = 0,
+                   trials: int, seed: int, workers: int = None):
+    X, W0 = _gaussian_instance(pattern_seed, d0, n, d1)
     region = volume_mod.RegionSpec.from_activation_pattern(activation_slopes(W0 @ X, 0.5), X)
-    est = volume_mod.estimate_angular_volume(region, args.trials, args.seed, args.workers)
+    est = volume_mod.estimate_angular_volume(region, trials, seed, workers)
     return {"estimate": asdict(est), "bound": None}
 
 
-def volume_global(args):
-    X, Wstar = _gaussian_instance(args.pattern_seed, args.d0, args.n, args.d1star)
-    region = volume_mod.RegionSpec.from_sign_match(X, Wstar, d1=args.d1)
+def volume_global(*, d0: int, d1star: int, d1: int = None, n: int, pattern_seed: int = 0,
+                  trials: int, seed: int, workers: int = None):
+    X, Wstar = _gaussian_instance(pattern_seed, d0, n, d1star)
+    region = volume_mod.RegionSpec.from_sign_match(X, Wstar, d1=d1)
     sin_alpha = construct_mod.angular_margin(X, Wstar).sin_alpha
-    exact, asymptotic_log = bounds_mod.global_volume_lower_bound(args.d0, args.d1star, sin_alpha)
+    exact, asymptotic_log = bounds_mod.global_volume_lower_bound(d0, d1star, sin_alpha)
     bound = {
         "sin_alpha": sin_alpha,
         "lower_exact": exact,
-        "lower_log": bounds_mod.global_volume_log_lower_bound(args.d0, args.d1star, sin_alpha),
+        "lower_log": bounds_mod.global_volume_log_lower_bound(d0, d1star, sin_alpha),
         "asymptotic_log": asymptotic_log,
     }
-    est = volume_mod.estimate_angular_volume(region, args.trials, args.seed, args.workers)
+    est = volume_mod.estimate_angular_volume(region, trials, seed, workers)
     return {"estimate": asdict(est), "bound": bound}
 
 
-def volume_orthant(args):
-    est = volume_mod.estimate_orthant_probability(
-        args.n, args.m, args.l, args.trials, args.seed, args.workers
-    )
-    alpha = args.m * args.l / args.n
-    bound = (
-        {"log": bounds_mod.orthant_probability_log_bound(args.n, args.m, args.l)}
-        if alpha > 1.0
-        else None
-    )
+def volume_orthant(*, n: int, m: int, l: int, trials: int, seed: int, workers: int = None):
+    est = volume_mod.estimate_orthant_probability(n, m, l, trials, seed, workers)
+    alpha = m * l / n
+    bound = {"log": bounds_mod.orthant_probability_log_bound(n, m, l)} if alpha > 1.0 else None
     return {"estimate": asdict(est), "alpha": alpha, "bound": bound}
 
 
-def volume_coherence(args):
-    bound = bounds_coherence_tail(args)
-    est = volume_mod.estimate_coherence_tail(
-        args.m, args.n, args.eps, args.trials, args.seed, args.workers
-    )
+def volume_coherence(*, m: int, n: int, eps: float, trials: int, seed: int, workers: int = None):
+    bound = bounds_coherence_tail(m=m, n=n, eps=eps)
+    est = volume_mod.estimate_coherence_tail(m, n, eps, trials, seed, workers)
     return {"estimate": asdict(est), "bound": bound}
 
 
-def volume_margin(args):
-    rng = np.random.default_rng(args.pattern_seed)
-    Wstar = rng.standard_normal((args.d1star, args.d0))
-    upper = bounds_mod.beta_angle_bounds(args.d0, args.sin_alpha, "upper")
-    est = volume_mod.estimate_margin_probability(
-        Wstar, args.n, args.sin_alpha, args.trials, args.seed, args.workers
-    )
-    return {
-        "estimate": asdict(est),
-        "bound": {"lower": max(0.0, 1.0 - args.n * args.d1star * upper)},
-    }
+def volume_margin(*, d0: int, d1star: int, n: int, sin_alpha: float, pattern_seed: int = 0,
+                  trials: int, seed: int, workers: int = None):
+    Wstar = np.random.default_rng(pattern_seed).standard_normal((d1star, d0))
+    upper = bounds_mod.beta_angle_bounds(d0, sin_alpha, "upper")
+    est = volume_mod.estimate_margin_probability(Wstar, n, sin_alpha, trials, seed, workers)
+    return {"estimate": asdict(est), "bound": {"lower": max(0.0, 1.0 - n * d1star * upper)}}
 
 
-def _bound_inputs(args):
-    return bounds_mod.BoundInputs(
-        N=args.n, d0=args.d0, d1=args.d1,
-        epsilon=args.epsilon, rho=args.rho, lim_ratio=args.lim_ratio,
-    )
-
-
-def bounds_theta_star(args):
+def bounds_theta_star():
     star = bounds_mod.find_theta_star()
     return {"theta": star.theta, "psi": star.psi_at_theta, "objective": star.objective}
 
 
-def bounds_gamma_eps(args):
-    inputs = bounds_mod.BoundInputs(
-        N=1, d0=1, d1=1, epsilon=args.epsilon, rho=args.rho, lim_ratio=args.lim_ratio
-    )
+def bounds_gamma_eps(*, epsilon: float, rho: float, lim_ratio: float = 0.0):
+    inputs = bounds_mod.BoundInputs(1, 1, 1, epsilon, rho, lim_ratio)
     return {"gamma_epsilon": bounds_mod.gamma_epsilon(inputs)}
 
 
-def bounds_suboptimal(args):
-    inputs = _bound_inputs(args)
+def bounds_suboptimal(*, n: int, d0: int, d1: int, epsilon: float, rho: float,
+                      lim_ratio: float = 0.0):
+    inputs = bounds_mod.BoundInputs(n, d0, d1, epsilon, rho, lim_ratio)
     return {
         "log": bounds_mod.suboptimal_volume_log_bound(inputs),
         "value": bounds_mod.suboptimal_volume_bound(inputs),
     }
 
 
-def bounds_ratio(args):
-    log_ratio, companion = bounds_mod.ratio_bound(_bound_inputs(args))
+def bounds_ratio(*, n: int, d0: int, d1: int, epsilon: float, rho: float,
+                 lim_ratio: float = 0.0):
+    inputs = bounds_mod.BoundInputs(n, d0, d1, epsilon, rho, lim_ratio)
+    log_ratio, companion = bounds_mod.ratio_bound(inputs)
     return {"log": log_ratio, "nlogn_companion": companion}
 
 
-def bounds_global_lower(args):
-    exact, asymptotic_log = bounds_mod.global_volume_lower_bound(
-        args.d0, args.d1star, args.sin_alpha
-    )
+def bounds_global_lower(*, d0: int, d1star: int, sin_alpha: float):
+    exact, asymptotic_log = bounds_mod.global_volume_lower_bound(d0, d1star, sin_alpha)
     return {
         "exact": exact,
-        "log": bounds_mod.global_volume_log_lower_bound(args.d0, args.d1star, args.sin_alpha),
+        "log": bounds_mod.global_volume_log_lower_bound(d0, d1star, sin_alpha),
         "asymptotic_log": asymptotic_log,
     }
 
 
-def bounds_delta(args):
-    return {"delta": bounds_mod.delta_probability(args.d0, args.n)}
+def bounds_delta(*, d0: int, n: int):
+    return {"delta": bounds_mod.delta_probability(d0, n)}
 
 
-def bounds_dichotomy(args):
-    schlafli, loose = bounds_mod.dichotomy_count_bound(args.n, args.d0)
+def bounds_dichotomy(*, n: int, d0: int):
+    schlafli, loose = bounds_mod.dichotomy_count_bound(n, d0)
     return {"schlafli": schlafli, "loose": loose}
 
 
-def bounds_coherence_tail(args):
-    return {"tail": bounds_mod.coherence_tail_bound(args.m, args.n, args.eps)}
+def bounds_coherence_tail(*, m: int, n: int, eps: float):
+    return {"tail": bounds_mod.coherence_tail_bound(m, n, eps)}
 
 
-def bounds_orthant(args):
-    return {"log": bounds_mod.orthant_probability_log_bound(args.n, args.m, args.l)}
+def bounds_orthant(*, n: int, m: int, l: int):
+    return {"log": bounds_mod.orthant_probability_log_bound(n, m, l)}
 
 
-def bounds_beta(args):
-    value = args.angle if args.which == "lower" else args.u
+def bounds_beta(*, d0: int, which: ("lower", "upper"), angle: float = None, u: float = None):
+    value = angle if which == "lower" else u
     if value is None:
-        flag = "--angle (radians)" if args.which == "lower" else "--u"
-        raise UsageError(f"bounds beta --which {args.which} needs {flag}")
-    return {"bound": bounds_mod.beta_angle_bounds(args.d0, value, args.which)}
+        flag = "--angle (radians)" if which == "lower" else "--u"
+        raise UsageError(f"bounds beta --which {which} needs {flag}")
+    return {"bound": bounds_mod.beta_angle_bounds(d0, value, which)}
 
 
-def rank_oracle(args):
-    check_leak(args.rho)
-    X, W = _gaussian_instance(args.seed, args.d0, args.n, args.d1)
-    A = activation_slopes(W @ X, args.rho)
+def rank_oracle(*, d0: int, d1: int, n: int, rho: float = 0.5, seed: int = 0):
+    check_leak(rho)
+    X, W = _gaussian_instance(seed, d0, n, d1)
+    A = activation_slopes(W @ X, rho)
     holds, witness = rank_condition_oracle(A, X)
     kr_rank = numerical_rank(khatri_rao(A, X), 1e-8)
     return {
         "holds": holds,
         "witness": list(witness) if witness is not None else None,
         "khatri_rao_rank": kr_rank,
-        "full_column_rank": kr_rank == args.n,
+        "full_column_rank": kr_rank == n,
     }
+
+
+VOLUME = {
+    "angular": volume_angular,
+    "global": volume_global,
+    "orthant": volume_orthant,
+    "coherence": volume_coherence,
+    "margin": volume_margin,
+}
+
+BOUNDS = {
+    "theta-star": bounds_theta_star,
+    "gamma-eps": bounds_gamma_eps,
+    "suboptimal": bounds_suboptimal,
+    "ratio": bounds_ratio,
+    "global-lower": bounds_global_lower,
+    "delta": bounds_delta,
+    "dichotomy": bounds_dichotomy,
+    "coherence-tail": bounds_coherence_tail,
+    "orthant": bounds_orthant,
+    "beta": bounds_beta,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -433,29 +437,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _kind_parser(sub, name, outputs, ints=(), floats=(), **kwargs):
-    """Subparser for one argv command with its required int and float flags; cmd_kind records it."""
+def _kind_parser(sub, name, handler, **kwargs):
+    """Subparser for one argv command, its flags read off the handler's keyword parameters.
+
+    Parameter data_seed is flag --data-seed, of the parameter's annotated
+    type (a tuple annotation lists the flag's choices); a parameter with no
+    default is a required flag.  --out is added to every command, and
+    cmd_kind runs and records it.
+    """
     p = sub.add_parser(name, **kwargs)
-    for flags, kind in ((ints, int), (floats, float)):
-        for flag in flags:
-            p.add_argument(flag, type=kind, required=True)
-    p.set_defaults(func=cmd_kind, outputs=outputs)
-    return p
+    for param in inspect.signature(handler).parameters.values():
+        kind = param.annotation
+        typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        required = param.default is param.empty
+        p.add_argument("--" + param.name.replace("_", "-"), required=required,
+                       default=None if required else param.default, **typed)
+    p.add_argument("--out", help="RunRecord JSON path")
+    p.set_defaults(func=cmd_kind, handler=handler)
 
 
 def build_parser():
     parser = _Parser(prog="landscape", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _kind_parser(sub, "construct", construct, help="build an exact zero-error network")
-    p.add_argument("--data", help="dataset CSV path")
-    p.add_argument("--d0", type=int, help="synthetic input dimension")
-    p.add_argument("--n", type=int, help="synthetic sample count")
-    p.add_argument("--data-seed", type=int, default=0)
-    p.add_argument("--rho", type=float, default=0.0)
-    p.add_argument("--target-d1", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="RunRecord JSON path")
+    _kind_parser(sub, "construct", construct, help="build an exact zero-error network")
 
     for name, fn in (("train", cmd_train), ("scan", cmd_scan), ("diagnostic", cmd_diagnostic)):
         p = sub.add_parser(name, help=f"run the {name} protocol from a JSON config")
@@ -463,54 +468,14 @@ def build_parser():
         p.add_argument("--out", required=True, help="output prefix: writes <out>.json and <out>.csv")
         p.set_defaults(func=fn)
 
-    p = sub.add_parser("volume", help="Monte Carlo volume estimators")
-    vsub = p.add_subparsers(dest="volume_kind", required=True)
-    pv = _kind_parser(vsub, "angular", volume_angular, ints=("--d0", "--d1", "--n"))
-    pv.add_argument("--pattern-seed", type=int, default=0)
-    pv = _kind_parser(vsub, "global", volume_global, ints=("--d0", "--d1star"))
-    pv.add_argument("--d1", type=int, default=None)
-    pv.add_argument("--n", type=int, required=True)
-    pv.add_argument("--pattern-seed", type=int, default=0)
-    _kind_parser(vsub, "orthant", volume_orthant, ints=("--n", "--m", "--l"))
-    _kind_parser(vsub, "coherence", volume_coherence, ints=("--m", "--n"), floats=("--eps",))
-    pv = _kind_parser(vsub, "margin", volume_margin,
-                      ints=("--d0", "--d1star", "--n"), floats=("--sin-alpha",))
-    pv.add_argument("--pattern-seed", type=int, default=0)
-    for pv in vsub.choices.values():
-        pv.add_argument("--trials", type=int, required=True)
-        pv.add_argument("--seed", type=int, required=True)
-        pv.add_argument("--workers", type=int, default=None)
-        pv.add_argument("--out")
+    for group, kinds, about in (("volume", VOLUME, "Monte Carlo volume estimators"),
+                                ("bounds", BOUNDS, "closed-form bound evaluators")):
+        ksub = sub.add_parser(group, help=about).add_subparsers(dest=f"{group}_kind", required=True)
+        for name, handler in kinds.items():
+            _kind_parser(ksub, name, handler)
 
-    p = sub.add_parser("bounds", help="closed-form bound evaluators")
-    bsub = p.add_subparsers(dest="bounds_kind", required=True)
-    _kind_parser(bsub, "theta-star", bounds_theta_star)
-    pb = _kind_parser(bsub, "gamma-eps", bounds_gamma_eps, floats=("--epsilon", "--rho"))
-    pb.add_argument("--lim-ratio", type=float, default=0.0)
-    for name, outputs in (("suboptimal", bounds_suboptimal), ("ratio", bounds_ratio)):
-        pb = _kind_parser(bsub, name, outputs,
-                          ints=("--n", "--d0", "--d1"), floats=("--epsilon", "--rho"))
-        pb.add_argument("--lim-ratio", type=float, default=0.0)
-    _kind_parser(bsub, "global-lower", bounds_global_lower,
-                 ints=("--d0", "--d1star"), floats=("--sin-alpha",))
-    _kind_parser(bsub, "delta", bounds_delta, ints=("--d0", "--n"))
-    _kind_parser(bsub, "dichotomy", bounds_dichotomy, ints=("--n", "--d0"))
-    _kind_parser(bsub, "coherence-tail", bounds_coherence_tail,
-                 ints=("--m", "--n"), floats=("--eps",))
-    _kind_parser(bsub, "orthant", bounds_orthant, ints=("--n", "--m", "--l"))
-    pb = _kind_parser(bsub, "beta", bounds_beta, ints=("--d0",))
-    pb.add_argument("--which", choices=("lower", "upper"), required=True)
-    pb.add_argument("--angle", type=float, default=None)
-    pb.add_argument("--u", type=float, default=None)
-    for pb in bsub.choices.values():
-        pb.add_argument("--out")
-
-    p = _kind_parser(sub, "rank-oracle", rank_oracle, ints=("--d0", "--d1", "--n"),
-                     help="subset rank condition by matroid partition, N <= 256")
-    p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-
+    _kind_parser(sub, "rank-oracle", rank_oracle,
+                 help="subset rank condition by matroid partition, N <= 256")
     return parser
 
 

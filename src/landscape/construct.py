@@ -41,6 +41,8 @@ class Construction:
     params: NetParams
     blocks: list
     d1_star: int            # 4 * number of blocks, before any padding
+    yhat: np.ndarray        # the network's outputs on X, zeros for an empty network
+    min_neural_input: float # min |W X|, None for an empty network
 
 
 @dataclass
@@ -154,6 +156,7 @@ def build_global_minimum(data, rho, target_d1=None, seed=None):
     z = np.array(z_entries, dtype=float)
     params = NetParams(W=W, z=z, rho=rho)
 
+    yhat, min_neural_input = np.zeros(data.n_samples), None
     if W.shape[0]:
         P, _, _, yhat = evaluate(W, z, rho, X)
         if mean_square(yhat - data.y) > 1e-18:
@@ -161,10 +164,11 @@ def build_global_minimum(data, rho, target_d1=None, seed=None):
                 "built network exceeds the 1e-18 squared-error budget; "
                 "X is near-degenerate at double precision, perturb it infinitesimally"
             )
-        if np.min(np.abs(P)) == 0.0:
+        min_neural_input = float(np.min(np.abs(P)))
+        if min_neural_input == 0.0:
             raise DegenerateData("built network has a zero pre-activation; X is near-degenerate")
 
-    return Construction(params=params, blocks=blocks, d1_star=d1_star)
+    return Construction(params, blocks, d1_star, yhat, min_neural_input)
 
 
 def angular_margin(X, Wstar):

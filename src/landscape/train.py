@@ -93,18 +93,35 @@ class Adam:
         return -lr * (self.m / c1) / (np.sqrt(self.v / c2) + ADAM_EPS)
 
 
+# The entropy word of each seed label: its first 4 bytes, little-endian, the
+# word every stream has drawn from it.
+_LABEL_ENTROPY = {
+    "scan": int.from_bytes(b"scan", "little"),
+    "init": int.from_bytes(b"init", "little"),
+    "diagnostic": int.from_bytes(b"diag", "little"),
+}
+
+
 def derive_seed(*parts):
     """Stable child seed from a label-and-index path (top seed first).
 
-    An int enters as its low 32 bits and a label as its first 4 UTF-8 bytes
-    only, so "scan-0" and "scan-1" collide: put indices in as ints.
+    An int enters as its low 32 bits and a label as its fixed entropy word.
+
+    Raises
+    ------
+    DomainError
+        For a label other than "scan", "init" and "diagnostic": a new label
+        needs its own word, or its streams could collide with another's.
     """
-    entropy = [p & 0xFFFFFFFF if isinstance(p, int) else _label_entropy(p) for p in parts]
+    entropy = []
+    for p in parts:
+        if isinstance(p, int):
+            entropy.append(p & 0xFFFFFFFF)
+        elif p in _LABEL_ENTROPY:
+            entropy.append(_LABEL_ENTROPY[p])
+        else:
+            raise DomainError(f"unknown seed label {p!r}; expected one of {sorted(_LABEL_ENTROPY)}")
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-
-
-def _label_entropy(label):
-    return int.from_bytes(str(label).encode(), "little") & 0xFFFFFFFF
 
 
 def gen_gaussian_dataset(d0, N, seed):

@@ -571,8 +571,7 @@ class TestArgvRecords:
         "construct --d0 3 --n 8 --data-seed 5",
         "rank-oracle --d0 3 --d1 4 --n 9 --seed 12",
         "rank-oracle --d0 2 --d1 3 --n 7 --rho -0.5",
-        PINNED_KIND_OUTPUTS[1][0],
-        PINNED_KIND_OUTPUTS[-2][0],
+        *(argv for argv, _ in PINNED_KIND_OUTPUTS),
     ])
     def test_rerun_from_config_reproduces_outputs(self, tmp_path, capsys, argv):
         first = tmp_path / "first.json"

@@ -322,13 +322,15 @@ class TestDlmDiagnostic:
 
 class TestDeriveSeed:
     def test_stable_and_distinct(self):
-        assert derive_seed(7, "scan-0", 1, 0) == derive_seed(7, "scan-0", 1, 0)
-        assert derive_seed(7, "scan-0", 1, 0) != derive_seed(7, "scan-0", 1, 1)
-        assert derive_seed(7, "scan-0", 1, 0) != derive_seed(8, "scan-0", 1, 0)
-
-    def test_label_keeps_its_first_four_bytes(self):
-        assert derive_seed(7, "scan-0", 1, 0) == derive_seed(7, "scan-1", 1, 0)
+        assert derive_seed(7, "scan", 1, 0) == derive_seed(7, "scan", 1, 0)
+        assert derive_seed(7, "scan", 1, 0) != derive_seed(7, "scan", 1, 1)
+        assert derive_seed(7, "scan", 1, 0) != derive_seed(8, "scan", 1, 0)
         assert derive_seed(7, "scan", 0, 1, 0) != derive_seed(7, "scan", 1, 1, 0)
+
+    @pytest.mark.parametrize("label", ["scan-0", "diag"])
+    def test_unknown_label_raises(self, label):
+        with pytest.raises(DomainError, match=repr(label)):
+            derive_seed(7, label, 1, 0)
 
     def test_diagnostic_and_init_streams_pinned(self):
         assert derive_seed(606, "diagnostic", 0, 0) == 18056850325611101768
