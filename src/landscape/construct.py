@@ -6,6 +6,10 @@ a four-row block of first-layer weights whose combined response is a
 trapezoid bump: exactly 1 on the group, exactly 0 on every other sample.
 Summing the blocks reproduces the labels, so the built network has zero
 squared error while keeping every pre-activation away from zero.
+
+The full-size groups are built as one stack: one batched SVD for their
+null spaces and one batched bordered solve, with the same results, bits
+and generator draws as building one group at a time.
 """
 
 from dataclasses import dataclass
@@ -60,31 +64,102 @@ def partition_positive(y, d0):
     return [positives[i:i + width] for i in range(0, len(positives), width)]
 
 
-def _block_directions(X, subset, rng):
-    """Hyperplane normal for the subset, redrawn inside the null space if needed, and X_out."""
-    basis = nullspace_basis(X[:, subset].T)
-    if basis.shape[1] != X.shape[0] - len(subset):
-        raise DegenerateData(
-            f"rank(M) < {len(subset)} at relative tolerance {DEFAULT_RANK_TOL:g}"
-        )
-    outside = np.ones(X.shape[1], dtype=bool)
-    outside[subset] = False
-    X_out = X[:, outside]       # the samples outside the subset, in ascending order
-    floor = _DEGENERATE_TOL * np.linalg.norm(X_out, axis=0)
-    # the first candidate is the smallest singular direction; a one-dimensional
-    # null space has no other direction to redraw
-    v = basis[:, -1]
-    for attempt in range(1 + (_REDRAW_ATTEMPTS if basis.shape[1] > 1 else 0)):
-        if attempt:
-            v = basis @ rng.standard_normal(basis.shape[1])
-            v = v / np.linalg.norm(v)
-        v = canonical_sign(v)
-        if np.all(np.abs(v @ X_out) > floor):
-            return v, X_out
+def _misses_outside(v, X_out, floor):
+    """Whether the hyperplane with normal v passes clear of every outside sample."""
+    return (np.abs(v @ X_out) > floor).all()
+
+
+def _redraw(basis, X_out, floor, rng):
+    """A random unit normal in the null space that misses every outside sample."""
+    # a one-dimensional null space has no other direction to redraw
+    for _ in range(_REDRAW_ATTEMPTS if basis.shape[1] > 1 else 0):
+        v = basis @ rng.standard_normal(basis.shape[1])
+        v = canonical_sign(v / np.linalg.norm(v))
+        if _misses_outside(v, X_out, floor):
+            return v
     raise DegenerateData(
         "a group hyperplane passes through an outside sample; "
         "perturb X infinitesimally and rebuild"
     )
+
+
+def _eps1(w_tilde, w_hat, X_out):
+    """Outer trapezoid half-width: _BETA times the sign-safety limit on the outside samples."""
+    if not X_out.shape[1]:
+        # no outside samples constrain the widths; any eps1 > eps2 > 0 works
+        return _BETA
+    t_out = np.abs(w_tilde @ X_out)
+    h_out = np.abs(w_hat @ X_out)
+    if float(h_out.max()) == 0.0:
+        raise DegenerateData("offset direction orthogonal to every outside sample")
+    # per-sample ratio keeps eps1 as large as sign stability allows,
+    # which caps the 1/(eps1 - eps2) output-weight amplification
+    eps1 = _BETA * float((t_out / np.maximum(h_out, 1e-300)).min())
+    if not np.isfinite(eps1):
+        raise DegenerateData("sign-stability ratio unbounded on this dataset")
+    return eps1
+
+
+def _build_stack(XT, floor, groups, rng):
+    """The ConstructionBlocks of equal-size groups, built as one stack.
+
+    The null spaces, the bordered solves and the norms are computed for the
+    whole stack at once, and each slice is bit for bit the single-group
+    computation (see linalg).  Only two steps loop over the blocks, in block
+    order: the candidate normal's outside-sample check with its redraws from
+    rng, and the eps1 products on the block's gathered X_out, where a stacked
+    product would round differently.  Refusals come in the order a group by
+    group build meets them: a stack whose null spaces are not all of full
+    dimension is built one group at a time, and after a refused stacked solve
+    each block is solved alone once its normal is settled.  XT is X.T in C
+    order and floor holds _DEGENERATE_TOL times the norm of every column of X.
+    """
+    N, d0 = XT.shape
+    B, k = len(groups), len(groups[0])
+    M = XT[np.array(groups)]    # M[b] = X[:, groups[b]].T
+    try:
+        basis = nullspace_basis(M)
+        full_rank = basis.shape[-1] == d0 - k
+    except DegenerateData:      # the ranks differ over the stack
+        full_rank = False
+    if not full_rank:
+        if B == 1:
+            raise DegenerateData(
+                f"rank(M) < {k} at relative tolerance {DEFAULT_RANK_TOL:g}"
+            )
+        return [block for g in groups for block in _build_stack(XT, floor, [g], rng)]
+
+    # the first candidate is the smallest singular direction
+    W_unit = np.array([canonical_sign(v) for v in basis[..., -1]])
+    rhs = np.concatenate([np.ones(k), [0.0]])
+    W_hat = np.zeros((B, d0))
+    solved = np.ones(B, dtype=bool)
+    try:
+        W_hat[:] = solve_linear(np.concatenate([M, W_unit[:, None, :]], axis=1),
+                                np.tile(rhs, (B, 1)))
+    except DegenerateData:
+        solved[:] = False
+    # each row's norm as np.linalg.norm takes it, from one dot product
+    W_tilde = W_unit * np.sqrt(W_hat[:, None, :] @ W_hat[:, :, None])[:, 0]
+
+    blocks = []
+    outside = np.ones(N, dtype=bool)
+    for b, subset in enumerate(groups):
+        outside[subset] = False
+        cols = outside.nonzero()[0]     # the samples outside the subset, in ascending order
+        outside[subset] = True
+        # an F-ordered gather, like X[:, outside] of a C-ordered X, but from rows of X.T
+        X_out = XT.take(cols, axis=0).T
+        floor_out = floor.take(cols)
+        if not _misses_outside(W_unit[b], X_out, floor_out):
+            W_unit[b] = _redraw(basis[b], X_out, floor_out, rng)
+            solved[b] = False
+        if not solved[b]:
+            W_hat[b] = solve_linear(np.vstack([M[b], W_unit[b]]), rhs)
+            W_tilde[b] = W_unit[b] * np.linalg.norm(W_hat[b])
+        eps1 = _eps1(W_tilde[b], W_hat[b], X_out)
+        blocks.append(ConstructionBlock(tuple(subset), W_tilde[b], W_hat[b], eps1, _GAMMA * eps1))
+    return blocks
 
 
 def build_global_minimum(data, rho, target_d1=None, seed=None):
@@ -93,6 +168,11 @@ def build_global_minimum(data, rho, target_d1=None, seed=None):
     The hidden width is 4 * ceil(|S+| / (d0 - 1)) where S+ is the positive
     class; pass target_d1 to pad with Gaussian rows carrying zero output
     weight.
+
+    The full-size groups are built as one stack and the shorter last group,
+    if any, as a stack of one (_build_stack).  The result, the generator's
+    draws and any refusal's type and message are those of building the
+    groups one at a time in order.
 
     Raises
     ------
@@ -111,54 +191,36 @@ def build_global_minimum(data, rho, target_d1=None, seed=None):
     d0 = data.d0
     rng = np.random.default_rng(seed)
 
-    blocks = []
-    rows = []
-    z_entries = []
-    for subset in partition_positive(data.y, d0):
-        w_unit, X_out = _block_directions(X, subset, rng)
-        system = np.vstack([X[:, subset].T, w_unit[None, :]])
-        rhs = np.concatenate([np.ones(len(subset)), [0.0]])
-        w_hat = solve_linear(system, rhs)
-        w_tilde = w_unit * np.linalg.norm(w_hat)
-        if X_out.shape[1]:
-            t_out = np.abs(w_tilde @ X_out)
-            h_out = np.abs(w_hat @ X_out)
-            if float(np.max(h_out)) == 0.0:
-                raise DegenerateData("offset direction orthogonal to every outside sample")
-            # per-sample ratio keeps eps1 as large as sign stability allows,
-            # which caps the 1/(eps1 - eps2) output-weight amplification
-            eps1 = _BETA * float(np.min(t_out / np.maximum(h_out, 1e-300)))
-            if not np.isfinite(eps1):
-                raise DegenerateData("sign-stability ratio unbounded on this dataset")
-        else:
-            # no outside samples constrain the widths; any eps1 > eps2 > 0 works
-            eps1 = _BETA
-        eps2 = _GAMMA * eps1
-        rows.extend([
-            w_tilde + eps1 * w_hat,
-            w_tilde + eps2 * w_hat,
-            w_tilde - eps2 * w_hat,
-            w_tilde - eps1 * w_hat,
-        ])
-        c = 1.0 / ((eps1 - eps2) * (1.0 - rho))
-        z_entries.extend([c, -c, -c, c])
-        blocks.append(ConstructionBlock(tuple(subset), w_tilde, w_hat, eps1, eps2))
+    groups = partition_positive(data.y, d0)
+    XT = np.ascontiguousarray(X.T)
+    # summed along contiguous memory per column, as for the F-ordered X_out of a block
+    floor = _DEGENERATE_TOL * np.linalg.norm(XT.T, axis=0)
+    n_full = sum(len(g) == d0 - 1 for g in groups)
+    blocks = [block for stack in (groups[:n_full], groups[n_full:]) if stack
+              for block in _build_stack(XT, floor, stack, rng)]
 
     d1_star = 4 * len(blocks)
+    W_tilde = np.array([b.w_tilde for b in blocks]).reshape(-1, d0)
+    W_hat = np.array([b.w_hat for b in blocks]).reshape(-1, d0)
+    eps1 = np.array([b.eps1 for b in blocks])
+    eps2 = _GAMMA * eps1
+    # rows w_tilde + eps1 w_hat, + eps2, - eps2, - eps1 of each block
+    steps = np.stack([eps1, eps2, -eps2, -eps1], axis=1)
+    rows = (W_tilde[:, None, :] + steps[:, :, None] * W_hat[:, None, :]).reshape(-1, d0)
+    c = 1.0 / ((eps1 - eps2) * (1.0 - rho))
+    z = (c[:, None] * np.array([1.0, -1.0, -1.0, 1.0])).reshape(-1)
     if target_d1 is not None:
         if target_d1 < d1_star:
             raise TargetTooSmall(f"target_d1 = {target_d1} below constructed width {d1_star}")
         pad = target_d1 - d1_star
-        rows.extend(rng.standard_normal((pad, d0)))
-        z_entries.extend([0.0] * pad)
+        rows = np.vstack([rows, rng.standard_normal((pad, d0))])
+        z = np.concatenate([z, np.zeros(pad)])
 
-    W = np.array(rows, dtype=float).reshape(len(rows), d0)
-    z = np.array(z_entries, dtype=float)
-    params = NetParams(W=W, z=z, rho=rho)
+    params = NetParams(W=rows, z=z, rho=rho)
 
     yhat, min_neural_input = np.zeros(data.n_samples), None
-    if W.shape[0]:
-        P, _, _, yhat = evaluate(W, z, rho, X)
+    if rows.shape[0]:
+        P, _, _, yhat = evaluate(rows, z, rho, X)
         if mean_square(yhat - data.y) > 1e-18:
             raise DegenerateData(
                 "built network exceeds the 1e-18 squared-error budget; "

@@ -78,8 +78,13 @@ class Dataset:
 
 
 def activation_slopes(P, rho):
-    """Slope matrix of the rectifier at pre-activations P, with slope 1 at zero."""
-    return np.where(np.asarray(P) >= 0.0, 1.0, rho)
+    """Slope matrix of the rectifier at pre-activations P, with slope 1 at zero.
+
+    A gather from (rho, 1) by sign rather than np.where(P >= 0, 1, rho):
+    the same values bit for bit, without a branch per entry to mispredict
+    on random signs.
+    """
+    return np.array([rho, 1.0]).take((np.asarray(P) >= 0.0).astype(np.intp))
 
 
 def evaluate(W, z, rho, X):

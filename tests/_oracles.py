@@ -4,7 +4,8 @@ Everything here checks library results through a different route than the
 code under test (angular sweeps instead of binomial sums, LP feasibility
 instead of closed forms, finite differences instead of analytic gradients,
 scipy root finding and bounded minimization instead of bisection and
-golden-section search, subset enumeration instead of matroid partition).
+golden-section search, subset enumeration instead of matroid partition,
+one construction block at a time instead of one stack of blocks).
 """
 
 import math
@@ -14,8 +15,23 @@ import numpy as np
 from scipy.optimize import brentq, linprog, minimize_scalar
 from scipy.special import log_ndtr
 
-from landscape.linalg import numerical_rank
-from landscape.network import NetParams, mse
+from landscape import construct
+from landscape.construct import Construction, ConstructionBlock, partition_positive
+from landscape.errors import DegenerateData, TargetTooSmall
+from landscape.linalg import (
+    DEFAULT_RANK_TOL,
+    canonical_sign,
+    nullspace_basis,
+    numerical_rank,
+    solve_linear,
+)
+from landscape.network import NetParams, check_leak, evaluate, mean_square, mse
+
+
+def same_bits(a, b):
+    """Equal shape, dtype and bytes: an equality that also sees signed zeros."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def count_dichotomies_sweep_2d(X):
@@ -127,3 +143,89 @@ def theta_star_oracle():
     theta = float(res.x)
     psi_theta = _psi_scipy(theta)
     return theta, psi_theta, psi_theta ** 3 * theta * theta
+
+
+def _block_directions(X, subset, rng):
+    """Hyperplane normal for the subset, redrawn inside the null space if needed, and X_out."""
+    basis = nullspace_basis(X[:, subset].T)
+    if basis.shape[1] != X.shape[0] - len(subset):
+        raise DegenerateData(
+            f"rank(M) < {len(subset)} at relative tolerance {DEFAULT_RANK_TOL:g}"
+        )
+    outside = np.ones(X.shape[1], dtype=bool)
+    outside[subset] = False
+    X_out = X[:, outside]
+    floor = construct._DEGENERATE_TOL * np.linalg.norm(X_out, axis=0)
+    v = basis[:, -1]
+    for attempt in range(1 + (construct._REDRAW_ATTEMPTS if basis.shape[1] > 1 else 0)):
+        if attempt:
+            v = basis @ rng.standard_normal(basis.shape[1])
+            v = v / np.linalg.norm(v)
+        v = canonical_sign(v)
+        if np.all(np.abs(v @ X_out) > floor):
+            return v, X_out
+    raise DegenerateData(
+        "a group hyperplane passes through an outside sample; "
+        "perturb X infinitesimally and rebuild"
+    )
+
+
+def build_global_minimum_per_block(data, rho, target_d1=None, seed=None):
+    """The zero-error construction built one block at a time, in group order.
+
+    The reference for construct.build_global_minimum, which builds the
+    blocks as one stack: same W, z, blocks, checked outputs, generator
+    draws and refusals, bit for bit.
+    """
+    check_leak(rho)
+    X = data.X
+    d0 = data.d0
+    beta, gamma = construct._BETA, construct._GAMMA
+    rng = np.random.default_rng(seed)
+    blocks, rows, z_entries = [], [], []
+    for subset in partition_positive(data.y, d0):
+        w_unit, X_out = _block_directions(X, subset, rng)
+        system = np.vstack([X[:, subset].T, w_unit[None, :]])
+        rhs = np.concatenate([np.ones(len(subset)), [0.0]])
+        w_hat = solve_linear(system, rhs)
+        w_tilde = w_unit * np.linalg.norm(w_hat)
+        if X_out.shape[1]:
+            t_out = np.abs(w_tilde @ X_out)
+            h_out = np.abs(w_hat @ X_out)
+            if float(np.max(h_out)) == 0.0:
+                raise DegenerateData("offset direction orthogonal to every outside sample")
+            eps1 = beta * float(np.min(t_out / np.maximum(h_out, 1e-300)))
+            if not np.isfinite(eps1):
+                raise DegenerateData("sign-stability ratio unbounded on this dataset")
+        else:
+            eps1 = beta
+        eps2 = gamma * eps1
+        rows.extend([w_tilde + eps1 * w_hat, w_tilde + eps2 * w_hat,
+                     w_tilde - eps2 * w_hat, w_tilde - eps1 * w_hat])
+        c = 1.0 / ((eps1 - eps2) * (1.0 - rho))
+        z_entries.extend([c, -c, -c, c])
+        blocks.append(ConstructionBlock(tuple(subset), w_tilde, w_hat, eps1, eps2))
+
+    d1_star = 4 * len(blocks)
+    if target_d1 is not None:
+        if target_d1 < d1_star:
+            raise TargetTooSmall(f"target_d1 = {target_d1} below constructed width {d1_star}")
+        pad = target_d1 - d1_star
+        rows.extend(rng.standard_normal((pad, d0)))
+        z_entries.extend([0.0] * pad)
+
+    W = np.array(rows, dtype=float).reshape(len(rows), d0)
+    z = np.array(z_entries, dtype=float)
+    params = NetParams(W=W, z=z, rho=rho)
+    yhat, min_neural_input = np.zeros(data.n_samples), None
+    if W.shape[0]:
+        P, _, _, yhat = evaluate(W, z, rho, X)
+        if mean_square(yhat - data.y) > 1e-18:
+            raise DegenerateData(
+                "built network exceeds the 1e-18 squared-error budget; "
+                "X is near-degenerate at double precision, perturb it infinitesimally"
+            )
+        min_neural_input = float(np.min(np.abs(P)))
+        if min_neural_input == 0.0:
+            raise DegenerateData("built network has a zero pre-activation; X is near-degenerate")
+    return Construction(params, blocks, d1_star, yhat, min_neural_input)

@@ -3,13 +3,21 @@ import hashlib
 import numpy as np
 import pytest
 
+from _oracles import build_global_minimum_per_block, same_bits
 from landscape.construct import (
     MarginCertificate,
     angular_margin,
     build_global_minimum,
     partition_positive,
 )
-from landscape.errors import BadLeak, DegenerateData, DomainError, TargetTooSmall, ZeroVector
+from landscape.errors import (
+    BadLeak,
+    DegenerateData,
+    DomainError,
+    LandscapeError,
+    TargetTooSmall,
+    ZeroVector,
+)
 from landscape.linalg import canonical_sign, nullspace_basis
 from landscape.network import Dataset, evaluate, forward, mce, mse
 from landscape.train import gen_gaussian_dataset
@@ -236,6 +244,112 @@ class TestRedrawPath:
                 h.update(built.params.z.tobytes())
         assert h.hexdigest() == (
             "12ff5d16eb7f0666494cae56fb0744a08a27c1bef8f2ad3ed667700d3e81ec8a")
+
+
+def _compare_with_per_block(data, rho, target_d1, seed):
+    """Build both ways and assert equal bits or the same refusal; returns the reference."""
+    try:
+        ref = build_global_minimum_per_block(data, rho, target_d1, seed)
+    except LandscapeError as exc:
+        with pytest.raises(LandscapeError) as got:
+            build_global_minimum(data, rho, target_d1, seed)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return exc
+    got = build_global_minimum(data, rho, target_d1, seed)
+    for a, b in [(got.params.W, ref.params.W), (got.params.z, ref.params.z),
+                 (got.yhat, ref.yhat)]:
+        assert same_bits(a, b)
+    assert repr(got.min_neural_input) == repr(ref.min_neural_input)
+    assert got.d1_star == ref.d1_star
+    assert len(got.blocks) == len(ref.blocks)
+    for g, r in zip(got.blocks, ref.blocks):
+        assert g.indices == r.indices
+        assert same_bits(g.w_tilde, r.w_tilde) and same_bits(g.w_hat, r.w_hat)
+        assert (type(g.eps1), g.eps1.hex()) == (type(r.eps1), r.eps1.hex())
+        assert (type(g.eps2), g.eps2.hex()) == (type(r.eps2), r.eps2.hex())
+    return ref
+
+
+def _corrupt(rng, X, groups, negatives):
+    """Make random groups redraw or fail; returns the groups given a failing defect."""
+    failing = set()
+    for _ in range(int(rng.integers(1, 5))):
+        j = int(rng.integers(len(groups)))
+        g, n = groups[j], int(rng.choice(negatives))
+        kind = int(rng.integers(4))
+        if kind == 0:       # an outside sample in the group's span: no normal avoids it
+            X[:, n] = X[:, g] @ rng.standard_normal(len(g))
+            failing.add(j)
+        elif kind == 1:     # an outside sample on the first candidate's hyperplane
+            g = groups[-1]  # whose null space, if the group is short, leaves room to redraw
+            X[:, n] = X[:, g[0]] + nullspace_basis(X[:, g].T)[:, 0]
+        elif kind == 2 and len(g) > 1:      # a repeated positive sample: rank loss
+            X[:, g[1]] = X[:, g[0]]
+            failing.add(j)
+        else:               # a vanishing positive sample: an ill-conditioned bordered solve
+            X[:, g[0]] *= 1e-14
+            failing.add(j)
+    return failing
+
+
+class TestStackedMatchesPerBlock:
+    """The stacked build is the per-block builder's, bit for bit, refusals included."""
+
+    def test_generic_builds(self):
+        rng = np.random.default_rng(50)
+        seen = {"short last group": 0, "padded": 0, "several stacked groups": 0}
+        for k in range(360):
+            d0 = int(rng.integers(2, 13))
+            N = int(rng.integers(1, 15 * d0 + 2))
+            rho = [0.0, -0.0, 0.1, 0.5][k % 4]
+            data = gen_gaussian_dataset(d0, N, seed=int(rng.integers(1 << 31)))
+            if k % 5 == 1:      # an F-ordered X
+                data = Dataset(X=np.asfortranarray(data.X), y=data.y)
+            groups = partition_positive(data.y, d0)
+            target_d1 = 4 * len(groups) + int(rng.integers(0, 9)) if k % 3 == 0 else None
+            built = _compare_with_per_block(data, rho, target_d1, k)
+            if not isinstance(built, Exception):
+                seen["short last group"] += bool(groups) and len(groups[-1]) < d0 - 1
+                seen["padded"] += target_d1 is not None and target_d1 > built.d1_star
+                seen["several stacked groups"] += sum(len(g) == d0 - 1 for g in groups) > 1
+        assert min(seen.values()) >= 50, seen
+
+    @pytest.mark.parametrize("d0, N, count", [(20, 200, 4), (5, 400, 4), (50, 1000, 2)])
+    def test_benchmark_shapes(self, d0, N, count):
+        rng = np.random.default_rng(d0)
+        for k in range(count):
+            y = rng.permutation(np.arange(N) < N // 2).astype(float)
+            _compare_with_per_block(Dataset(X=rng.standard_normal((d0, N)), y=y), 0.0, None, k)
+
+    def test_redraws_and_refusals(self):
+        rng = np.random.default_rng(51)
+        seen = {"redrawn": 0, "refused with several failing groups": 0}
+        messages = set()
+        for k in range(240):
+            d0 = int(rng.integers(3, 9))
+            N = int(rng.integers(2 * d0, 12 * d0))
+            X = rng.standard_normal((d0, N))
+            y = (rng.random(N) < 0.5).astype(float)
+            negatives = np.flatnonzero(y == 0.0)
+            groups = partition_positive(y, d0)
+            if not groups or not negatives.size:
+                continue
+            failing = _corrupt(rng, X, groups, negatives)
+            data = Dataset(X=X, y=y)
+            rho = [0.0, -0.0, 0.1, 0.5][k % 4]
+            target_d1 = 4 * len(groups) + 3 if k % 2 else None
+            built = _compare_with_per_block(data, rho, target_d1, k)
+            if isinstance(built, Exception):
+                messages.add(str(built).split(" ")[0])
+                seen["refused with several failing groups"] += len(failing) > 1
+            else:
+                for block in built.blocks:
+                    first = canonical_sign(nullspace_basis(X[:, list(block.indices)].T)[:, -1])
+                    w = block.w_tilde / np.linalg.norm(block.w_tilde)
+                    seen["redrawn"] += bool(abs(w @ first) < 1.0 - 1e-9)
+        assert min(seen.values()) >= 10, seen
+        # the group hyperplane, rank and bordered-solve refusals all occur
+        assert {"a", "rank(M)", "smallest"} <= messages, messages
 
 
 class TestAngularMargin:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from landscape.errors import DegenerateData
+from _oracles import same_bits
+from landscape.errors import DegenerateData, DomainError
 from landscape.linalg import (
     canonical_sign,
     nullspace_basis,
@@ -115,3 +116,83 @@ class TestNumericalRank:
 def test_canonical_sign_flips_negative_lead():
     np.testing.assert_array_equal(canonical_sign(np.array([-0.5, 1.0])), [0.5, -1.0])
     np.testing.assert_array_equal(canonical_sign(np.array([0.0, -2.0])), [0.0, 2.0])
+
+
+class TestStacks:
+    """A leading stack axis gives each slice the single-matrix call's result, bit for bit."""
+
+    @pytest.mark.parametrize("lead", [(1,), (7,), (2, 3)])
+    def test_solve_linear(self, lead):
+        rng = np.random.default_rng(30)
+        for m, n in [(1, 1), (3, 3), (4, 9), (19, 20), (49, 50)]:
+            A = rng.standard_normal((*lead, m, n))
+            b = rng.standard_normal((*lead, m))
+            x = solve_linear(A, b)
+            for idx in np.ndindex(*lead):
+                assert same_bits(x[idx], solve_linear(A[idx], b[idx]))
+
+    @pytest.mark.parametrize("lead", [(1,), (7,), (2, 3)])
+    def test_nullspace_basis(self, lead):
+        rng = np.random.default_rng(31)
+        for k, d in [(1, 2), (4, 5), (2, 9), (19, 20), (49, 50)]:
+            M = rng.standard_normal((*lead, k, d))
+            B = nullspace_basis(M)
+            for idx in np.ndindex(*lead):
+                assert same_bits(B[idx], nullspace_basis(M[idx]))
+
+    def test_numerical_rank_with_deficient_slices(self):
+        rng = np.random.default_rng(32)
+        M = rng.standard_normal((6, 4, 5))
+        M[1, 3] = M[1, 0] + M[1, 1]
+        M[4] = 0.0
+        ranks = numerical_rank(M)
+        assert ranks.tolist() == [4, 3, 4, 4, 0, 4]
+        assert all(ranks[j] == numerical_rank(M[j]) for j in range(6))
+        assert numerical_rank(M.reshape(2, 3, 4, 5), 1e-8).shape == (2, 3)
+
+    def test_nullspace_dimension_varying_over_the_stack_raises(self):
+        M = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                      [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]])
+        with pytest.raises(DegenerateData, match="varies over the stack"):
+            nullspace_basis(M)
+
+    def test_ill_conditioned_slice_reports_the_first(self):
+        A = np.tile(np.eye(2), (4, 1, 1))
+        A[2, 1, 1] = 1e-14
+        A[3, 0, 0] = 1e-15
+        b = np.ones((4, 2))
+        with pytest.raises(DegenerateData) as single:
+            solve_linear(A[2], b[2])
+        with pytest.raises(DegenerateData) as stacked:
+            solve_linear(A, b)
+        assert str(stacked.value) == str(single.value)
+        assert "1.000e-14" in str(stacked.value)
+
+
+class TestNonFinite:
+    """Non-finite input raises DomainError before any SVD, alone or in a stack."""
+
+    @pytest.fixture(autouse=True)
+    def no_svd(self, monkeypatch):
+        def svd(*args, **kwargs):
+            raise AssertionError("SVD reached with non-finite input")
+        monkeypatch.setattr(np.linalg, "svd", svd)
+
+    @pytest.mark.parametrize("A, b", [
+        pytest.param([[np.inf, 1.0]], [1.0], id="inf-in-A"),
+        pytest.param(np.eye(2), [np.nan, 1.0], id="nan-in-b"),
+        pytest.param(np.stack([np.eye(2), [[1.0, np.nan], [0.0, 1.0]]]), np.ones((2, 2)),
+                     id="stack"),
+    ])
+    def test_solve_linear(self, A, b):
+        with pytest.raises(DomainError, match="non-finite"):
+            solve_linear(A, b)
+
+    @pytest.mark.parametrize("M", [
+        pytest.param([[np.nan, 1.0]], id="single"),
+        pytest.param([[[1.0, 0.0]], [[-np.inf, 1.0]]], id="stack"),
+    ])
+    @pytest.mark.parametrize("fn", [nullspace_basis, numerical_rank])
+    def test_nullspace_basis_and_numerical_rank(self, fn, M):
+        with pytest.raises(DomainError, match="non-finite"):
+            fn(M)

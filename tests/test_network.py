@@ -47,6 +47,26 @@ class TestActivationPattern:
         A = activation_slopes(np.eye(2) @ np.array([[1.0, -1.0], [-1.0, 1.0]]), 0.0)
         np.testing.assert_array_equal(A, [[1.0, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("rho", [0.0, -0.0, 0.1, 0.5, -2.0])
+    @pytest.mark.parametrize("P", [
+        pytest.param(np.float64(1.5), id="0-d-positive"),
+        pytest.param(np.array(-1.5), id="0-d-negative"),
+        pytest.param(np.array(np.nan), id="0-d-nan"),
+        pytest.param(np.array(-0.0), id="0-d-negative-zero"),
+        pytest.param(np.zeros(0), id="empty"),
+        pytest.param(np.zeros((3, 0)), id="empty-matrix"),
+        pytest.param([[1.0, -1.0, 0.0], [-0.0, np.nan, -np.inf]], id="matrix"),
+        pytest.param(np.random.default_rng(40).standard_normal((2, 3, 5)), id="stack"),
+    ])
+    def test_gather_equals_where(self, P, rho):
+        # the gather must give np.where's slopes in value, sign bit, shape and dtype
+        got = activation_slopes(P, rho)
+        want = np.where(np.asarray(P) >= 0.0, 1.0, rho)
+        assert np.shape(got) == want.shape
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
     @pytest.mark.parametrize("P, rho, expected", [
         pytest.param([[2.0]], 0.1, [[2.0]], id="positive"),
         pytest.param([[-2.0]], 0.1, [[-0.2]], id="leak"),
