@@ -1,9 +1,9 @@
 """Command-line front end: seeded experiment commands with JSON/CSV outputs.
 
-An argv command is one handler whose keyword parameters are its flags
-(data_seed is --data-seed).  Every command builds a RunRecord with its
-seed and config: the flags of an argv command, the config snapshot of a
-JSON one.  Rerunning with the recorded values reproduces all numeric
+Every command is one handler whose keyword parameters are its inputs: the
+flags of an argv command (data_seed is --data-seed), the keys of a JSON
+command's config file.  Every command builds a RunRecord with its seed
+and those inputs.  Rerunning with the recorded values reproduces all numeric
 outputs bit for bit in single-threaded mode.  Structured results go to a
 JSON document, plot-ready tables to CSV, both written atomically (temp
 file and rename), and the outputs object is printed to stdout.
@@ -89,6 +89,8 @@ def load_dataset_csv(path):
         N = int(parts[1][2:])
     except ValueError:
         raise DatasetFormatError("line 1: expected header 'd0=<int>,N=<int>'") from None
+    if d0 < 0 or N < 0:
+        raise DatasetFormatError(f"line 1: d0 and N must be non-negative, got d0={d0}, N={N}")
     data_lines = [l for l in lines[1:] if l.strip()]
     if len(data_lines) != N:
         raise DatasetFormatError(
@@ -131,60 +133,61 @@ def write_dataset_csv(path, data):
 _TRAIN_KEYS = {f.name for f in fields(train_mod.TrainConfig)}
 
 
-def _check_keys(config, allowed, context, required=()):
-    for key in config:
-        if key not in allowed:
+def _is_json(value, kind):
+    """Whether a JSON value matches an annotation: int is an integer (not a bool),
+    float any finite number, str a string, [T] a list of T; others are left to the callee."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_is_json(v, kind[0]) for v in value)
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if kind is float:
+        return _is_json(value, int) or isinstance(value, float) and math.isfinite(value)
+    return kind is not str or isinstance(value, str)
+
+
+def _call(handler, values, context):
+    """handler(**values), once values pass the check read off handler's signature.
+
+    values must be a JSON object.  Each key must be a parameter, or a
+    TrainConfig field if handler takes **config; each parameter without a
+    default must be present; each annotated value must match (_is_json).
+    """
+    if not isinstance(values, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {values!r}")
+    params = inspect.signature(handler).parameters
+    named = {k: p for k, p in params.items() if p.kind is not p.VAR_KEYWORD}
+    extra = _TRAIN_KEYS if len(named) < len(params) else set()   # handler takes **config
+    for key in values:
+        if key not in named and key not in extra:
             raise ConfigError(f"unknown config key '{key}' in {context}")
-    for key in required:
-        if key not in config:
-            raise ConfigError(f"{context} needs key '{key}'")
+    for name, param in named.items():
+        value = values.get(name, param.default)
+        if value is param.empty:
+            raise ConfigError(f"{context} needs key '{name}'")
+        if name in values and not _is_json(value, param.annotation):
+            raise ConfigError(f"invalid value for config key '{name}' in {context}: {value!r}")
+    return handler(**values)
 
 
-def _check_types(config, context, types, keys, listed=False):
-    """Each present key holds a finite number of the given types (a list of them if listed)."""
-    for key in keys:
-        if key not in config:
-            continue
-        items = config[key] if listed else [config[key]]
-        if not isinstance(items, list) or not all(
-            isinstance(v, types) and not isinstance(v, bool) and math.isfinite(v) for v in items
-        ):
-            raise ConfigError(f"invalid value for config key '{key}' in {context}: {config[key]!r}")
-
-
-def _train_config(config, defaults=None):
-    values = dict(defaults or {})
-    values.update({k: v for k, v in config.items() if k in _TRAIN_KEYS})
+def _train_config(config, **defaults):
     try:
-        return train_mod.TrainConfig(**values)
+        return train_mod.TrainConfig(**{**defaults, **config})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid training configuration: {exc}") from None
 
 
-def _csv_text(header, table):
-    """A CSV table: the header line, then one line of repr'd values per row."""
-    return "\n".join([header] + [",".join(map(repr, row)) for row in table]) + "\n"
+def _csv_text(columns, rows):
+    """A CSV table: the column names, then one line per row (a dict) of its repr'd values."""
+    lines = [",".join(columns)] + [",".join(repr(row[c]) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _load_config(path):
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+def _gaussian_dataset(*, d0: int, n: int, seed: int = 0):
+    return train_mod.gen_gaussian_dataset(d0, n, seed)
 
 
-def _dataset_from_config(spec):
-    if not isinstance(spec, dict):
-        raise ConfigError("config key 'dataset' must be an object")
-    if "path" in spec:
-        _check_keys(spec, {"path"}, "dataset config")
-        return load_dataset_csv(spec["path"]), {"path": spec["path"]}
-    _check_keys(spec, {"d0", "n", "seed"}, "dataset config", required=("d0", "n"))
-    _check_types(spec, "dataset config", int, ("d0", "n", "seed"))
-    seed = spec.get("seed", 0)
-    data = train_mod.gen_gaussian_dataset(spec["d0"], spec["n"], seed)
-    return data, {"d0": spec["d0"], "n": spec["n"], "seed": seed}
+def _csv_dataset(*, path: str):
+    return load_dataset_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +198,11 @@ def construct(*, data: str = None, d0: int = None, n: int = None, data_seed: int
     if data is not None:
         if d0 is not None or n is not None:
             raise UsageError("--data and --d0/--n are mutually exclusive")
-        spec = {"path": data}
+        dataset = _csv_dataset(path=data)
     else:
         if d0 is None or n is None:
             raise UsageError("construct needs --data or both --d0 and --n")
-        spec = {"d0": d0, "n": n, "seed": data_seed}
-    dataset, _ = _dataset_from_config(spec)
+        dataset = _gaussian_dataset(d0=d0, n=n, seed=data_seed)
     built = construct_mod.build_global_minimum(dataset, rho=rho, target_d1=target_d1, seed=seed)
     outputs = {
         "d1_star": built.d1_star,
@@ -221,16 +223,15 @@ def construct(*, data: str = None, d0: int = None, n: int = None, data_seed: int
     return outputs
 
 
-def cmd_train(args):
-    raw = _load_config(args.config)
-    _check_keys(raw, _TRAIN_KEYS | {"dataset", "d1"}, "train config", required=("dataset",))
-    _check_types(raw, "train config", int, ("d1",))
-    data, dataset_cfg = _dataset_from_config(raw["dataset"])
-    d1 = raw.get("d1", data.d0)
-    config = _train_config(raw)
-    params = train_mod.he_init(
-        d1, data.d0, train_mod.derive_seed(config.seed, "init", 0), rho=config.rho
-    )
+def train(*, dataset: dict, d1: int = None, **config):
+    source = _csv_dataset if isinstance(dataset, dict) and "path" in dataset else _gaussian_dataset
+    data = _call(source, dataset, "dataset config")
+    spec = inspect.signature(source).bind(**dataset)
+    spec.apply_defaults()
+    d1 = data.d0 if d1 is None else d1
+    config = _train_config(config)
+    init_seed = train_mod.derive_seed(config.seed, "init", 0)
+    params = train_mod.he_init(d1, data.d0, init_seed, rho=config.rho)
     _, result = train_mod.adam_train(params, data, config)
     outputs = {
         "final_mse": result.final_mse,
@@ -238,36 +239,32 @@ def cmd_train(args):
         "min_neural_input": result.min_neural_input,
         "epochs_run": result.epochs_run,
     }
-    table = [(i, m, c) for i, (m, c) in enumerate(result.history)]
-    snapshot = dict(raw, dataset=dataset_cfg, d1=d1)
-    record = RunRecord("train", snapshot, config.seed, outputs=outputs)
-    return record, _csv_text("epoch,mse,mce", table)
+    rows = [{"epoch": i, "mse": m, "mce": c} for i, (m, c) in enumerate(result.history)]
+    return outputs, _csv_text(("epoch", "mse", "mce"), rows), {"dataset": spec.arguments, "d1": d1}
 
 
-def cmd_scan(args):
-    raw = _load_config(args.config)
-    keys = ("d_values", "n_factors", "seeds")
-    _check_keys(raw, _TRAIN_KEYS | set(keys), "scan config", required=keys)
-    _check_types(raw, "scan config", int, ("seeds",))
-    _check_types(raw, "scan config", int, ("d_values",), listed=True)
-    _check_types(raw, "scan config", (int, float), ("n_factors",), listed=True)
-    config = _train_config(raw)
-    rows = train_mod.scan_overparam(raw["d_values"], raw["n_factors"], raw["seeds"], config)
-    columns = ("d", "N", "params_over_N", "mce_mean", "mce_std")
-    record = RunRecord("scan", raw, config.seed, outputs={"rows": rows})
-    return record, _csv_text(",".join(columns), [[r[c] for c in columns] for r in rows])
+def scan(*, d_values: [int], n_factors: [float], seeds: int, **config):
+    rows = train_mod.scan_overparam(d_values, n_factors, seeds, _train_config(config))
+    return {"rows": rows}, _csv_text(("d", "N", "params_over_N", "mce_mean", "mce_std"), rows), {}
 
 
-def cmd_diagnostic(args):
-    raw = _load_config(args.config)
-    _check_keys(raw, _TRAIN_KEYS | {"d", "seeds"}, "diagnostic config", required=("d", "seeds"))
-    _check_types(raw, "diagnostic config", int, ("d", "seeds"))
-    defaults = {"epochs": 2000, "lr_decay_epochs": 1000, "stop_on_zero_mce": False}
-    config = _train_config(raw, defaults=defaults)
-    rows = train_mod.dlm_diagnostic(raw["d"], raw["seeds"], config)
-    columns = ("seed_index", "min_neural_input", "final_mse")
-    record = RunRecord("diagnostic", raw, config.seed, outputs={"rows": rows})
-    return record, _csv_text(",".join(columns), [[r[c] for c in columns] for r in rows])
+def diagnostic(*, d: int, seeds: int, **config):
+    config = _train_config(config, epochs=2000, lr_decay_epochs=1000, stop_on_zero_mce=False)
+    rows = train_mod.dlm_diagnostic(d, seeds, config)
+    return {"rows": rows}, _csv_text(("seed_index", "min_neural_input", "final_mse"), rows), {}
+
+
+def cmd_config(args):
+    """RunRecord and CSV of a JSON command: its handler called on the config file's keys,
+    recorded with the inputs the handler filled in (train's dataset and d1)."""
+    try:
+        with open(args.config) as handle:
+            raw = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    outputs, csv_text, filled = _call(args.handler, raw, f"{args.command} config")
+    record = RunRecord(args.command, dict(raw, **filled), raw.get("seed", 0), outputs=outputs)
+    return record, csv_text
 
 
 def cmd_kind(args):
@@ -278,7 +275,7 @@ def cmd_kind(args):
     command = f"{args.command} {kind}" if kind else args.command
     params = inspect.signature(args.handler).parameters
     outputs = args.handler(**{name: getattr(args, name) for name in params})
-    return RunRecord(command, config, config.get("seed", 0), outputs=outputs)
+    return RunRecord(command, config, config.get("seed", 0), outputs=outputs), None
 
 
 def _gaussian_instance(seed, d0, n, rows):
@@ -462,11 +459,11 @@ def build_parser():
 
     _kind_parser(sub, "construct", construct, help="build an exact zero-error network")
 
-    for name, fn in (("train", cmd_train), ("scan", cmd_scan), ("diagnostic", cmd_diagnostic)):
+    for name, handler in (("train", train), ("scan", scan), ("diagnostic", diagnostic)):
         p = sub.add_parser(name, help=f"run the {name} protocol from a JSON config")
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True, help="output prefix: writes <out>.json and <out>.csv")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_config, handler=handler)
 
     for group, kinds, about in (("volume", VOLUME, "Monte Carlo volume estimators"),
                                 ("bounds", BOUNDS, "closed-form bound evaluators")):
@@ -484,8 +481,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         started = datetime.now(timezone.utc).isoformat()
-        produced = args.func(args)
-        record, csv_text = produced if isinstance(produced, tuple) else (produced, None)
+        record, csv_text = args.func(args)
         record.started = started
         record.finished = datetime.now(timezone.utc).isoformat()
         payload = asdict(record)

@@ -140,6 +140,13 @@ class TestDatasetCsv:
         with pytest.raises(DatasetFormatError, match="line 1"):
             load_dataset_csv(path)
 
+    @pytest.mark.parametrize("header", ["d0=-1,N=0", "d0=2,N=-1"])
+    def test_negative_count_in_header_names_line_1(self, tmp_path, header):
+        path = tmp_path / "data.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(DatasetFormatError, match="line 1: d0 and N must be non-negative"):
+            load_dataset_csv(path)
+
 
 class TestConstructCommand:
     def test_synthetic_reports_zero_error(self, tmp_path, capsys):
@@ -444,6 +451,18 @@ class TestExitCodes:
                      id="train-adam-eps-nan"),
         pytest.param("train", '{"dataset": {"d0": 3, "n": 4}, "epochs": 1, "beta1": 0.5}',
                      id="train-beta1"),
+        pytest.param("train", "3", id="train-config-number"),
+        pytest.param("train", "null", id="train-config-null"),
+        pytest.param("train", "[1]", id="train-config-list"),
+        pytest.param("train", '"x"', id="train-config-string"),
+        pytest.param("scan", '{"d_values": [4], "n_factors": [1.0], "epochs": 1}',
+                     id="scan-seeds-missing"),
+        pytest.param("diagnostic", '{"d": 4, "seeds": 1, "epochs": 2, "width": 3}',
+                     id="diagnostic-unknown-key"),
+        pytest.param("train", '{"dataset": {"path": "data.csv", "d0": 3}, "epochs": 1}',
+                     id="train-path-and-d0"),
+        pytest.param("train", '{"dataset": {"path": 1.5}, "epochs": 1}', id="train-path-number"),
+        pytest.param("train", '{"dataset": [3, 4], "epochs": 1}', id="train-dataset-list"),
     ])
     def test_bad_config_exits_one_without_artifact(self, tmp_path, capsys, command, config):
         path = tmp_path / "c.json"
@@ -452,6 +471,17 @@ class TestExitCodes:
         assert run_cli(command, "--config", str(path), "--out", str(out)) == 1
         assert not (tmp_path / "never.json").exists() and not (tmp_path / "never.csv").exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["train", "scan", "diagnostic"])
+    @pytest.mark.parametrize("config", ["3", "null", "[1]", '"x"', "true"])
+    def test_config_that_is_not_an_object_names_json_object(self, tmp_path, capsys, command,
+                                                           config):
+        path = tmp_path / "c.json"
+        path.write_text(config)
+        assert run_cli(command, "--config", str(path), "--out", str(tmp_path / "never")) == 1
+        assert os.listdir(tmp_path) == ["c.json"]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "JSON object" in err, err
 
     @pytest.mark.parametrize("command, config", [
         ("train", {"dataset": {"d0": 2, "n": 4}, "epochs": 1}),
@@ -584,6 +614,38 @@ class TestArgvRecords:
         replayed = json.load(open(replay))
         assert replayed["config"] == record["config"]
         assert json.dumps(replayed["outputs"]) == json.dumps(record["outputs"])
+
+
+class TestJsonRecords:
+    @pytest.mark.parametrize("command, config", [
+        pytest.param("train", {"dataset": {"d0": 4, "n": 10, "seed": 6}, "epochs": 5, "seed": 2,
+                               "stop_on_zero_mce": False}, id="train-synthetic"),
+        pytest.param("train", {"epochs": 4, "dataset": {"n": 9, "d0": 3}, "lr": 0.02},
+                     id="train-defaults-filled"),
+        pytest.param("train", {"dataset": {"path": "data.csv"}, "d1": 6, "epochs": 5, "seed": 3},
+                     id="train-csv"),
+        pytest.param("scan", {"d_values": [4], "n_factors": [1, 0.5], "seeds": 2, "epochs": 3,
+                              "seed": 7}, id="scan"),
+        pytest.param("diagnostic", {"d": 4, "seeds": 2, "epochs": 4, "lr_decay_epochs": 2,
+                                    "seed": 5}, id="diagnostic"),
+    ])
+    def test_rerun_from_recorded_config_reproduces_outputs(self, tmp_path, capsys, monkeypatch,
+                                                           command, config):
+        monkeypatch.chdir(tmp_path)
+        write_dataset_csv(tmp_path / "data.csv", gen_gaussian_dataset(3, 12, seed=1))
+        first_config, replay_config = tmp_path / "first.cfg", tmp_path / "replay.cfg"
+        first_config.write_text(json.dumps(config))
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert run_cli(command, "--config", str(first_config), "--out", str(first)) == 0
+        printed = capsys.readouterr().out
+        record = json.load(open(f"{first}.json"))
+        replay_config.write_text(json.dumps(record["config"]))
+        assert run_cli(command, "--config", str(replay_config), "--out", str(replay)) == 0
+        assert capsys.readouterr().out == printed
+        replayed = json.load(open(f"{replay}.json"))
+        assert replayed["config"] == record["config"]
+        assert json.dumps(replayed["outputs"]) == json.dumps(record["outputs"])
+        assert open(f"{replay}.csv").read() == open(f"{first}.csv").read()
 
 
 class TestRankOracleCommand:
