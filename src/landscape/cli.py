@@ -37,6 +37,7 @@ from .network import (
     Dataset, activation_slopes, check_leak, khatri_rao, mean_square, misclassified,
 )
 from .stationarity import rank_condition_oracle
+from .train import Seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1        # every LandscapeError that is not a NumericalError, I/O, ValueError
@@ -134,12 +135,13 @@ _TRAIN_KEYS = {f.name for f in fields(train_mod.TrainConfig)}
 
 
 def _is_json(value, kind):
-    """Whether a JSON value matches an annotation: int is an integer (not a bool),
-    float any finite number, str a string, [T] a list of T; others are left to the callee."""
+    """Whether a JSON value matches an annotation: int is an integer (not a bool), Seed a
+    non-negative one, float a finite number, str a string, [T] a list of T; the callee
+    checks others."""
     if isinstance(kind, list):
         return isinstance(value, list) and all(_is_json(v, kind[0]) for v in value)
-    if kind is int:
-        return isinstance(value, int) and not isinstance(value, bool)
+    if kind in (int, Seed):
+        return isinstance(value, int) and not isinstance(value, bool) and (kind is int or value >= 0)
     if kind is float:
         return _is_json(value, int) or isinstance(value, float) and math.isfinite(value)
     return kind is not str or isinstance(value, str)
@@ -182,7 +184,7 @@ def _csv_text(columns, rows):
     return "\n".join(lines) + "\n"
 
 
-def _gaussian_dataset(*, d0: int, n: int, seed: int = 0):
+def _gaussian_dataset(*, d0: int, n: int, seed: Seed = 0):
     return train_mod.gen_gaussian_dataset(d0, n, seed)
 
 
@@ -193,8 +195,8 @@ def _csv_dataset(*, path: str):
 # ---------------------------------------------------------------------------
 # commands
 
-def construct(*, data: str = None, d0: int = None, n: int = None, data_seed: int = 0,
-              rho: float = 0.0, target_d1: int = None, seed: int = 0):
+def construct(*, data: str = None, d0: int = None, n: int = None, data_seed: Seed = 0,
+              rho: float = 0.0, target_d1: int = None, seed: Seed = 0):
     if data is not None:
         if d0 is not None or n is not None:
             raise UsageError("--data and --d0/--n are mutually exclusive")
@@ -285,16 +287,16 @@ def _gaussian_instance(seed, d0, n, rows):
     return X, rng.standard_normal((rows, d0))
 
 
-def volume_angular(*, d0: int, d1: int, n: int, pattern_seed: int = 0,
-                   trials: int, seed: int, workers: int = None):
+def volume_angular(*, d0: int, d1: int, n: int, pattern_seed: Seed = 0,
+                   trials: int, seed: Seed, workers: int = None):
     X, W0 = _gaussian_instance(pattern_seed, d0, n, d1)
     region = volume_mod.RegionSpec.from_activation_pattern(activation_slopes(W0 @ X, 0.5), X)
     est = volume_mod.estimate_angular_volume(region, trials, seed, workers)
     return {"estimate": asdict(est), "bound": None}
 
 
-def volume_global(*, d0: int, d1star: int, d1: int = None, n: int, pattern_seed: int = 0,
-                  trials: int, seed: int, workers: int = None):
+def volume_global(*, d0: int, d1star: int, d1: int = None, n: int, pattern_seed: Seed = 0,
+                  trials: int, seed: Seed, workers: int = None):
     X, Wstar = _gaussian_instance(pattern_seed, d0, n, d1star)
     region = volume_mod.RegionSpec.from_sign_match(X, Wstar, d1=d1)
     sin_alpha = construct_mod.angular_margin(X, Wstar).sin_alpha
@@ -309,21 +311,21 @@ def volume_global(*, d0: int, d1star: int, d1: int = None, n: int, pattern_seed:
     return {"estimate": asdict(est), "bound": bound}
 
 
-def volume_orthant(*, n: int, m: int, l: int, trials: int, seed: int, workers: int = None):
+def volume_orthant(*, n: int, m: int, l: int, trials: int, seed: Seed, workers: int = None):
     est = volume_mod.estimate_orthant_probability(n, m, l, trials, seed, workers)
     alpha = m * l / n
     bound = {"log": bounds_mod.orthant_probability_log_bound(n, m, l)} if alpha > 1.0 else None
     return {"estimate": asdict(est), "alpha": alpha, "bound": bound}
 
 
-def volume_coherence(*, m: int, n: int, eps: float, trials: int, seed: int, workers: int = None):
+def volume_coherence(*, m: int, n: int, eps: float, trials: int, seed: Seed, workers: int = None):
     bound = bounds_coherence_tail(m=m, n=n, eps=eps)
     est = volume_mod.estimate_coherence_tail(m, n, eps, trials, seed, workers)
     return {"estimate": asdict(est), "bound": bound}
 
 
-def volume_margin(*, d0: int, d1star: int, n: int, sin_alpha: float, pattern_seed: int = 0,
-                  trials: int, seed: int, workers: int = None):
+def volume_margin(*, d0: int, d1star: int, n: int, sin_alpha: float, pattern_seed: Seed = 0,
+                  trials: int, seed: Seed, workers: int = None):
     Wstar = np.random.default_rng(pattern_seed).standard_normal((d1star, d0))
     upper = bounds_mod.beta_angle_bounds(d0, sin_alpha, "upper")
     est = volume_mod.estimate_margin_probability(Wstar, n, sin_alpha, trials, seed, workers)
@@ -390,7 +392,7 @@ def bounds_beta(*, d0: int, which: ("lower", "upper"), angle: float = None, u: f
     return {"bound": bounds_mod.beta_angle_bounds(d0, value, which)}
 
 
-def rank_oracle(*, d0: int, d1: int, n: int, rho: float = 0.5, seed: int = 0):
+def rank_oracle(*, d0: int, d1: int, n: int, rho: float = 0.5, seed: Seed = 0):
     check_leak(rho)
     X, W = _gaussian_instance(seed, d0, n, d1)
     A = activation_slopes(W @ X, rho)

@@ -7,9 +7,9 @@ trapezoid bump: exactly 1 on the group, exactly 0 on every other sample.
 Summing the blocks reproduces the labels, so the built network has zero
 squared error while keeping every pre-activation away from zero.
 
-The full-size groups are built as one stack: one batched SVD for their
-null spaces and one batched bordered solve, with the same results, bits
-and generator draws as building one group at a time.
+The full-size groups are built as one stack: one batched SVD gives their
+null spaces and their offset directions, with the same results, bits and
+generator draws as building one group at a time.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateData, DomainError, TargetTooSmall, ZeroVector
-from .linalg import DEFAULT_RANK_TOL, canonical_sign, nullspace_basis, solve_linear
+from .linalg import canonical_sign, check_bordered, nullspace_solve
 from .network import NetParams, check_leak, evaluate, mean_square
 
 # |w . x| below this (relative to the column norm) counts as a degenerate hit.
@@ -103,47 +103,31 @@ def _eps1(w_tilde, w_hat, X_out):
 def _build_stack(XT, floor, groups, rng):
     """The ConstructionBlocks of equal-size groups, built as one stack.
 
-    The null spaces, the bordered solves and the norms are computed for the
-    whole stack at once, and each slice is bit for bit the single-group
-    computation (see linalg).  Only two steps loop over the blocks, in block
-    order: the candidate normal's outside-sample check with its redraws from
-    rng, and the eps1 products on the block's gathered X_out, where a stacked
-    product would round differently.  Refusals come in the order a group by
-    group build meets them: a stack whose null spaces are not all of full
-    dimension is built one group at a time, and after a refused stacked solve
-    each block is solved alone once its normal is settled.  XT is X.T in C
-    order and floor holds _DEGENERATE_TOL times the norm of every column of X.
+    One batched SVD of the group matrices M gives each group's null space
+    and w_hat, the minimum-norm solution of M w = 1, which also solves the
+    bordered system [M; w_unit] w = [1; 0] for any unit normal w_unit in
+    the null space, redrawn or not (linalg.nullspace_solve).  Each slice is
+    bit for bit the single-group computation.  The per-block steps loop in
+    block order: the outside-sample check with its redraws from rng, the
+    bordered system's conditioning check, and the eps1 products on the
+    block's X_out, where a stacked product would round differently.  A
+    stack whose groups are not all of full rank is built one group at a
+    time, so refusals come in group order.  XT is X.T in C order and floor
+    holds _DEGENERATE_TOL times the norm of every column of X.
     """
-    N, d0 = XT.shape
-    B, k = len(groups), len(groups[0])
     M = XT[np.array(groups)]    # M[b] = X[:, groups[b]].T
     try:
-        basis = nullspace_basis(M)
-        full_rank = basis.shape[-1] == d0 - k
-    except DegenerateData:      # the ranks differ over the stack
-        full_rank = False
-    if not full_rank:
-        if B == 1:
-            raise DegenerateData(
-                f"rank(M) < {k} at relative tolerance {DEFAULT_RANK_TOL:g}"
-            )
+        basis, W_hat, bordered = nullspace_solve(M, np.ones(M.shape[:2]))
+    except DegenerateData:      # a group's rank is below its size
+        if len(groups) == 1:
+            raise
         return [block for g in groups for block in _build_stack(XT, floor, [g], rng)]
 
     # the first candidate is the smallest singular direction
     W_unit = np.array([canonical_sign(v) for v in basis[..., -1]])
-    rhs = np.concatenate([np.ones(k), [0.0]])
-    W_hat = np.zeros((B, d0))
-    solved = np.ones(B, dtype=bool)
-    try:
-        W_hat[:] = solve_linear(np.concatenate([M, W_unit[:, None, :]], axis=1),
-                                np.tile(rhs, (B, 1)))
-    except DegenerateData:
-        solved[:] = False
-    # each row's norm as np.linalg.norm takes it, from one dot product
-    W_tilde = W_unit * np.sqrt(W_hat[:, None, :] @ W_hat[:, :, None])[:, 0]
 
     blocks = []
-    outside = np.ones(N, dtype=bool)
+    outside = np.ones(XT.shape[0], dtype=bool)
     for b, subset in enumerate(groups):
         outside[subset] = False
         cols = outside.nonzero()[0]     # the samples outside the subset, in ascending order
@@ -153,12 +137,10 @@ def _build_stack(XT, floor, groups, rng):
         floor_out = floor.take(cols)
         if not _misses_outside(W_unit[b], X_out, floor_out):
             W_unit[b] = _redraw(basis[b], X_out, floor_out, rng)
-            solved[b] = False
-        if not solved[b]:
-            W_hat[b] = solve_linear(np.vstack([M[b], W_unit[b]]), rhs)
-            W_tilde[b] = W_unit[b] * np.linalg.norm(W_hat[b])
-        eps1 = _eps1(W_tilde[b], W_hat[b], X_out)
-        blocks.append(ConstructionBlock(tuple(subset), W_tilde[b], W_hat[b], eps1, _GAMMA * eps1))
+        check_bordered(bordered[b])
+        w_tilde = W_unit[b] * np.linalg.norm(W_hat[b])
+        eps1 = _eps1(w_tilde, W_hat[b], X_out)
+        blocks.append(ConstructionBlock(tuple(subset), w_tilde, W_hat[b], eps1, _GAMMA * eps1))
     return blocks
 
 
@@ -187,12 +169,11 @@ def build_global_minimum(data, rho, target_d1=None, seed=None):
         If target_d1 is below the constructed width.
     """
     check_leak(rho)
-    X = data.X
     d0 = data.d0
     rng = np.random.default_rng(seed)
 
     groups = partition_positive(data.y, d0)
-    XT = np.ascontiguousarray(X.T)
+    XT = np.ascontiguousarray(data.X.T)
     # summed along contiguous memory per column, as for the F-ordered X_out of a block
     floor = _DEGENERATE_TOL * np.linalg.norm(XT.T, axis=0)
     n_full = sum(len(g) == d0 - 1 for g in groups)
@@ -220,7 +201,7 @@ def build_global_minimum(data, rho, target_d1=None, seed=None):
 
     yhat, min_neural_input = np.zeros(data.n_samples), None
     if rows.shape[0]:
-        P, _, _, yhat = evaluate(rows, z, rho, X)
+        P, _, _, yhat = evaluate(rows, z, rho, data.X)
         if mean_square(yhat - data.y) > 1e-18:
             raise DegenerateData(
                 "built network exceeds the 1e-18 squared-error budget; "

@@ -1,10 +1,12 @@
-"""Dense linear-algebra substrate: SVD-backed solves, null spaces, numerical rank.
+"""Dense linear-algebra substrate: null spaces, minimum-norm solves, numerical rank.
 
 Everything here is a pure function of its inputs.  Instances in scope are
 dense and small (at most a few thousand rows), so all routines factorize
-with a full SVD and apply relative singular-value thresholds.
+with a full SVD and apply relative singular-value thresholds: the rank rule
+is _rank, the conditioning rule check_bordered.  nullspace_solve takes a
+null space and a minimum-norm solution from one SVD.
 
-solve_linear, nullspace_basis and numerical_rank also take a stack of
+nullspace_basis, nullspace_solve and numerical_rank also take a stack of
 matrices on leading axes.  numpy's batched SVD and its (..., n, 1) matmuls
 run the same per-slice kernels as a single call, so each slice of a
 stacked result is bit for bit the result of calling on that slice alone.
@@ -37,38 +39,18 @@ def _matvec(A, x):
     return (A @ x[..., None])[..., 0]
 
 
-def solve_linear(A, b):
-    """Solve A x = b for full-row-rank A with m <= n rows, or for each of a stack.
-
-    A is (..., m, n) and b (..., m).  Returns the unique solution when
-    square and the minimum-norm solution when underdetermined.  One step
-    of iterative refinement keeps the residual near machine precision.
-
-    Raises
-    ------
-    DomainError
-        If A or b has a non-finite entry.
-    DegenerateData
-        If the smallest singular value of A, or of any slice of a stack, is
-        below 1e-12 times the largest; the message quotes the first such slice.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim < 2 or b.shape != A.shape[:-1]:
-        raise ValueError("expected A (..., m, n) and b (..., m) with matching m")
-    if A.shape[-2] > A.shape[-1]:
-        raise ValueError("solve_linear requires m <= n (square or underdetermined)")
-    _check_finite(A, b)
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    ill = (s[..., 0] == 0.0) | (s[..., -1] < 1e-12 * s[..., 0])
-    if np.any(ill):
-        first = s.reshape(-1, s.shape[-1])[np.argmax(ill)]
-        raise DegenerateData(
-            f"smallest singular value {first[-1]:.3e} below 1e-12 * {first[0]:.3e}"
-        )
-    Ut, V = U.swapaxes(-1, -2), Vt.swapaxes(-1, -2)
-    x = _matvec(V, _matvec(Ut, b) / s)
-    return x + _matvec(V, _matvec(Ut, b - _matvec(A, x)) / s)
+def _null_svd(M):
+    """The SVD of M (..., k, d) with all of V, and the rank its slices share."""
+    M = np.asarray(M, dtype=float)
+    _check_finite(M)
+    U, s, Vt = np.linalg.svd(M, full_matrices=True)
+    ranks = _rank(s, DEFAULT_RANK_TOL)
+    rank = int(np.max(ranks, initial=0))
+    if np.any(ranks != rank):
+        raise DegenerateData("null-space dimension varies over the stack")
+    if rank >= M.shape[-1]:
+        raise DegenerateData("null space is trivial")
+    return U, s, Vt, rank
 
 
 def nullspace_basis(M):
@@ -84,16 +66,39 @@ def nullspace_basis(M):
     DegenerateData
         If the null space is trivial, or its dimension varies over the stack.
     """
-    M = np.asarray(M, dtype=float)
-    _check_finite(M)
-    _, s, Vt = np.linalg.svd(M, full_matrices=True)
-    ranks = _rank(s, DEFAULT_RANK_TOL)
-    rank = int(np.max(ranks, initial=0))
-    if np.any(ranks != rank):
-        raise DegenerateData("null-space dimension varies over the stack")
-    if rank >= M.shape[-1]:
-        raise DegenerateData("null space is trivial")
+    _, _, Vt, rank = _null_svd(M)
     return Vt[..., rank:, :].swapaxes(-1, -2)
+
+
+def nullspace_solve(M, b):
+    """Null-space basis of a full-row-rank M (..., k, d) and the minimum-norm x with M x = b.
+
+    One SVD gives both; x gets one step of iterative refinement.  x lies in
+    the row space of M, so it also solves [M; v] x = [b; 0] for every unit v
+    in the null space, and that bordered system's singular values are those
+    of M and 1.  Returns (basis, x, bordered), bordered (..., 2) holding
+    their largest and smallest, for check_bordered.  Raises as
+    nullspace_basis (b too), and DegenerateData if a slice's rank is below k.
+    """
+    M = np.asarray(M, dtype=float)
+    b = np.asarray(b, dtype=float)
+    _check_finite(b)
+    U, s, Vt, rank = _null_svd(M)
+    if rank < M.shape[-2]:
+        raise DegenerateData(f"rank(M) < {M.shape[-2]} at relative tolerance {DEFAULT_RANK_TOL:g}")
+    Ut, V = U.swapaxes(-1, -2), Vt[..., :rank, :].swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):  # only where check_bordered refuses
+        x = _matvec(V, _matvec(Ut, b) / s)
+        x = x + _matvec(V, _matvec(Ut, b - _matvec(M, x)) / s)
+    bordered = np.stack([np.maximum(s[..., 0], 1.0), np.minimum(s[..., -1], 1.0)], axis=-1)
+    return Vt[..., rank:, :].swapaxes(-1, -2), x, bordered
+
+
+def check_bordered(bordered):
+    """Refuse an ill-conditioned bordered system: smallest singular value below 1e-12 * largest."""
+    largest, smallest = bordered
+    if smallest < 1e-12 * largest:
+        raise DegenerateData(f"smallest singular value {smallest:.3e} below 1e-12 * {largest:.3e}")
 
 
 def canonical_sign(v):

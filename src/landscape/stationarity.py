@@ -36,12 +36,13 @@ def dlm_condition(params, data):
     P, A, H, yhat = evaluate(params.W, params.z, params.rho, X)
     e = data.y - yhat
     dW, dz = backward(params.z, X, A, H, e)
+    abs_P = np.abs(P)
     return StationarityReport(
         # ||(A o X) e|| = ||(A diag(e)) X^T||_F, without forming A o X
         residual_norm=float(np.linalg.norm((A * e) @ X.T)),
         gradient_norm=float(np.sqrt(np.sum(dW * dW) + dz @ dz)),
-        min_neural_input=float(np.min(np.abs(P))) if P.size else float("inf"),
-        boundary_hits=int(np.sum(np.abs(P) <= DEFAULT_TAU)),
+        min_neural_input=float(np.min(abs_P)) if P.size else float("inf"),
+        boundary_hits=int(np.sum(abs_P <= DEFAULT_TAU)),
     )
 
 

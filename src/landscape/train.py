@@ -29,6 +29,16 @@ ADAM_BETA2 = 0.99
 ADAM_EPS = 1e-8
 
 
+class Seed(int):
+    """A seed: a non-negative integer.  It annotates every seed parameter of the CLI."""
+
+    def __new__(cls, value):
+        seed = super().__new__(cls, value)
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {value!r}")
+        return seed
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 4000
@@ -46,6 +56,7 @@ class TrainConfig:
         for name, value in counts.items():
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
+        Seed(self.seed)     # a negative seed raises ValueError
         for name in ("lr", "rho"):
             value = getattr(self, name)
             if not isinstance(value, (int, float, np.number)) or isinstance(value, bool):

@@ -5,7 +5,9 @@ code under test (angular sweeps instead of binomial sums, LP feasibility
 instead of closed forms, finite differences instead of analytic gradients,
 scipy root finding and bounded minimization instead of bisection and
 golden-section search, subset enumeration instead of matroid partition,
-one construction block at a time instead of one stack of blocks).
+one construction block at a time instead of one stack of blocks, and a
+bordered solve per block instead of the null-space SVD's minimum-norm
+solution).
 """
 
 import math
@@ -19,11 +21,12 @@ from landscape import construct
 from landscape.construct import Construction, ConstructionBlock, partition_positive
 from landscape.errors import DegenerateData, TargetTooSmall
 from landscape.linalg import (
-    DEFAULT_RANK_TOL,
+    _check_finite,
+    _matvec,
     canonical_sign,
-    nullspace_basis,
+    check_bordered,
+    nullspace_solve,
     numerical_rank,
-    solve_linear,
 )
 from landscape.network import NetParams, check_leak, evaluate, mean_square, mse
 
@@ -145,13 +148,48 @@ def theta_star_oracle():
     return theta, psi_theta, psi_theta ** 3 * theta * theta
 
 
-def _block_directions(X, subset, rng):
-    """Hyperplane normal for the subset, redrawn inside the null space if needed, and X_out."""
-    basis = nullspace_basis(X[:, subset].T)
-    if basis.shape[1] != X.shape[0] - len(subset):
+def solve_linear(A, b):
+    """Solve A x = b for full-row-rank A with m <= n rows, or for each of a stack.
+
+    A is (..., m, n) and b (..., m).  Returns the unique solution when
+    square and the minimum-norm solution when underdetermined.  One step
+    of iterative refinement keeps the residual near machine precision.
+
+    Raises
+    ------
+    DomainError
+        If A or b has a non-finite entry.
+    DegenerateData
+        If the smallest singular value of A, or of any slice of a stack, is
+        below 1e-12 times the largest; the message quotes the first such slice.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if A.ndim < 2 or b.shape != A.shape[:-1]:
+        raise ValueError("expected A (..., m, n) and b (..., m) with matching m")
+    if A.shape[-2] > A.shape[-1]:
+        raise ValueError("solve_linear requires m <= n (square or underdetermined)")
+    _check_finite(A, b)
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    ill = (s[..., 0] == 0.0) | (s[..., -1] < 1e-12 * s[..., 0])
+    if np.any(ill):
+        first = s.reshape(-1, s.shape[-1])[np.argmax(ill)]
         raise DegenerateData(
-            f"rank(M) < {len(subset)} at relative tolerance {DEFAULT_RANK_TOL:g}"
+            f"smallest singular value {first[-1]:.3e} below 1e-12 * {first[0]:.3e}"
         )
+    Ut, V = U.swapaxes(-1, -2), Vt.swapaxes(-1, -2)
+    x = _matvec(V, _matvec(Ut, b) / s)
+    return x + _matvec(V, _matvec(Ut, b - _matvec(A, x)) / s)
+
+
+def _block_directions(X, subset, rng):
+    """Hyperplane normal for the subset, redrawn inside the null space if needed, and X_out.
+
+    Also returns the group matrix M, the minimum-norm solution of M w = 1
+    and the bordered system's singular-value pair, from the null-space SVD.
+    """
+    M = np.ascontiguousarray(X[:, subset].T)
+    basis, w_hat, bordered = nullspace_solve(M, np.ones(len(subset)))
     outside = np.ones(X.shape[1], dtype=bool)
     outside[subset] = False
     X_out = X[:, outside]
@@ -163,19 +201,32 @@ def _block_directions(X, subset, rng):
             v = v / np.linalg.norm(v)
         v = canonical_sign(v)
         if np.all(np.abs(v @ X_out) > floor):
-            return v, X_out
+            return v, X_out, (M, w_hat, bordered)
     raise DegenerateData(
         "a group hyperplane passes through an outside sample; "
         "perturb X infinitesimally and rebuild"
     )
 
 
-def build_global_minimum_per_block(data, rho, target_d1=None, seed=None):
+def _min_norm_offset(w_unit, M, w_hat, bordered):
+    """The null-space SVD's minimum-norm w_hat, once its bordered system passes."""
+    check_bordered(bordered)
+    return w_hat
+
+
+def _bordered_offset(w_unit, M, w_hat, bordered):
+    """w_hat solved from the bordered system [M; w_unit] w = [1; 0]."""
+    return solve_linear(np.vstack([M, w_unit]), np.concatenate([np.ones(len(M)), [0.0]]))
+
+
+def build_global_minimum_per_block(data, rho, target_d1=None, seed=None,
+                                   offset=_min_norm_offset):
     """The zero-error construction built one block at a time, in group order.
 
     The reference for construct.build_global_minimum, which builds the
     blocks as one stack: same W, z, blocks, checked outputs, generator
-    draws and refusals, bit for bit.
+    draws and refusals, bit for bit.  offset(w_unit, M, w_hat, bordered)
+    gives each block's offset direction.
     """
     check_leak(rho)
     X = data.X
@@ -184,10 +235,8 @@ def build_global_minimum_per_block(data, rho, target_d1=None, seed=None):
     rng = np.random.default_rng(seed)
     blocks, rows, z_entries = [], [], []
     for subset in partition_positive(data.y, d0):
-        w_unit, X_out = _block_directions(X, subset, rng)
-        system = np.vstack([X[:, subset].T, w_unit[None, :]])
-        rhs = np.concatenate([np.ones(len(subset)), [0.0]])
-        w_hat = solve_linear(system, rhs)
+        w_unit, X_out, solved = _block_directions(X, subset, rng)
+        w_hat = offset(w_unit, *solved)
         w_tilde = w_unit * np.linalg.norm(w_hat)
         if X_out.shape[1]:
             t_out = np.abs(w_tilde @ X_out)
@@ -229,3 +278,14 @@ def build_global_minimum_per_block(data, rho, target_d1=None, seed=None):
         if min_neural_input == 0.0:
             raise DegenerateData("built network has a zero pre-activation; X is near-degenerate")
     return Construction(params, blocks, d1_star, yhat, min_neural_input)
+
+
+def build_global_minimum_bordered(data, rho, target_d1=None, seed=None):
+    """The per-block construction with each w_hat from a bordered solve.
+
+    The construction as it was before w_hat came from the null-space SVD:
+    the same normals, redraws and generator draws, with W and z equal to
+    the minimum-norm build's up to rounding, and the conditioning refusal
+    raised by solve_linear.
+    """
+    return build_global_minimum_per_block(data, rho, target_d1, seed, offset=_bordered_offset)

@@ -363,6 +363,13 @@ class TestExitCodes:
         pytest.param("rank-oracle --d0 3 --d1 0 --n 5", id="rank-oracle-d1-0"),
         pytest.param("rank-oracle --d0 3 --d1 2 --n 0", id="rank-oracle-n0"),
         pytest.param("construct --d0 5 --n 20 --beta 0.3", id="construct-beta"),
+        pytest.param("construct --d0 3 --n 6 --seed -1", id="construct-seed-negative"),
+        pytest.param("construct --d0 3 --n 6 --data-seed -1", id="construct-data-seed-negative"),
+        pytest.param("rank-oracle --d0 3 --d1 2 --n 5 --seed -3", id="rank-oracle-seed-negative"),
+        pytest.param("volume orthant --n 4 --m 2 --l 3 --trials 20 --seed -1",
+                     id="volume-seed-negative"),
+        pytest.param("volume angular --d0 3 --d1 2 --n 4 --pattern-seed -1 --trials 10 --seed 1",
+                     id="volume-pattern-seed-negative"),
     ])
     def test_bad_flags_exit_one_without_artifact(self, tmp_path, capsys, argv):
         out = tmp_path / "never.json"
@@ -463,6 +470,14 @@ class TestExitCodes:
                      id="train-path-and-d0"),
         pytest.param("train", '{"dataset": {"path": 1.5}, "epochs": 1}', id="train-path-number"),
         pytest.param("train", '{"dataset": [3, 4], "epochs": 1}', id="train-dataset-list"),
+        pytest.param("train", '{"dataset": {"d0": 3, "n": 4}, "epochs": 1, "seed": -5}',
+                     id="train-seed-negative"),
+        pytest.param("train", '{"dataset": {"d0": 3, "n": 4, "seed": -1}, "epochs": 1}',
+                     id="train-dataset-seed-negative"),
+        pytest.param("scan", '{"d_values": [4], "n_factors": [1.0], "seeds": 1, "epochs": 1, '
+                     '"seed": -5}', id="scan-seed-negative"),
+        pytest.param("diagnostic", '{"d": 4, "seeds": 1, "epochs": 2, "seed": -5}',
+                     id="diagnostic-seed-negative"),
     ])
     def test_bad_config_exits_one_without_artifact(self, tmp_path, capsys, command, config):
         path = tmp_path / "c.json"

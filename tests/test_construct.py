@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from _oracles import build_global_minimum_per_block, same_bits
+from _oracles import build_global_minimum_bordered, build_global_minimum_per_block, same_bits
 from landscape.construct import (
     MarginCertificate,
     angular_margin,
@@ -243,7 +243,7 @@ class TestRedrawPath:
                 h.update(built.params.W.tobytes())
                 h.update(built.params.z.tobytes())
         assert h.hexdigest() == (
-            "12ff5d16eb7f0666494cae56fb0744a08a27c1bef8f2ad3ed667700d3e81ec8a")
+            "ef24ac5381f7e8385dfde2ec02a85a87bc17365d08c5a4d43284e04f3fcbe499")
 
 
 def _compare_with_per_block(data, rho, target_d1, seed):
@@ -350,6 +350,60 @@ class TestStackedMatchesPerBlock:
         assert min(seen.values()) >= 10, seen
         # the group hyperplane, rank and bordered-solve refusals all occur
         assert {"a", "rank(M)", "smallest"} <= messages, messages
+
+
+def _compare_with_bordered(data, rho, target_d1, seed):
+    """Whether both builds accept; if so, equal widths and groups, W and z to 1e-10 of their max."""
+    try:
+        ref = build_global_minimum_bordered(data, rho, target_d1, seed)
+        got = build_global_minimum(data, rho, target_d1, seed)
+    except DegenerateData:
+        return False
+    assert got.d1_star == ref.d1_star
+    assert [b.indices for b in got.blocks] == [b.indices for b in ref.blocks]
+    for a, b in [(got.params.W, ref.params.W), (got.params.z, ref.params.z)]:
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-10 * np.max(np.abs(b), initial=0.0)
+    return True
+
+
+class TestMatchesBordered:
+    """The minimum-norm w_hat is the bordered solve's up to rounding, refusals included."""
+
+    def test_generic_builds(self):
+        rng = np.random.default_rng(60)
+        compared = 0
+        for k in range(220):
+            d0 = int(rng.integers(2, 31))
+            N = int(rng.integers(1, 15 * d0 + 2))
+            data = gen_gaussian_dataset(d0, N, seed=int(rng.integers(1 << 31)))
+            target_d1 = 4 * N if k % 3 == 0 else None
+            compared += _compare_with_bordered(data, [0.0, 0.1, 0.5][k % 3], target_d1, k)
+        assert compared >= 200, compared
+
+    @pytest.mark.parametrize("d0, N, count", [(20, 200, 6), (5, 400, 6), (50, 1000, 4)])
+    def test_benchmark_shapes(self, d0, N, count):
+        rng = np.random.default_rng(100 + d0)
+        compared = 0
+        for k in range(count):
+            y = rng.permutation(np.arange(N) < N // 2).astype(float)
+            data = Dataset(X=rng.standard_normal((d0, N)), y=y)
+            compared += _compare_with_bordered(data, 0.0, None, k)
+        assert compared >= count - 1, compared
+
+    @pytest.mark.parametrize("scale", [1e-14, 1e13], ids=["small-sample", "large-sample"])
+    def test_conditioning_refusal(self, scale):
+        # a group of one sample: the bordered system's singular values are
+        # |x| and 1, below 1e-12 of each other on either side
+        X = np.random.default_rng(61).standard_normal((3, 6))
+        X[:, 0] *= scale
+        data = Dataset(X=X, y=np.array([1.0, 0, 0, 0, 0, 0]))
+        with pytest.raises(DegenerateData) as ref:
+            build_global_minimum_bordered(data, 0.0, seed=0)
+        with pytest.raises(DegenerateData) as got:
+            build_global_minimum(data, 0.0, seed=0)
+        assert str(got.value) == str(ref.value)
+        assert str(got.value).startswith("smallest singular value")
 
 
 class TestAngularMargin:

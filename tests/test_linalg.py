@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from _oracles import same_bits
+from _oracles import same_bits, solve_linear
 from landscape.errors import DegenerateData, DomainError
 from landscape.linalg import (
     canonical_sign,
     nullspace_basis,
     numerical_rank,
-    solve_linear,
 )
 
 SQ2 = np.sqrt(2.0)
