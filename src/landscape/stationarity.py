@@ -36,7 +36,7 @@ def dlm_condition(params, data):
     P, A, H, yhat = evaluate(params.W, params.z, params.rho, X)
     e = data.y - yhat
     dW, dz = backward(params.z, X, A, H, e)
-    abs_P = np.abs(P)
+    abs_P = np.abs(P, out=P)    # in place: P is not used again, and a fresh copy is slower
     return StationarityReport(
         # ||(A o X) e|| = ||(A diag(e)) X^T||_F, without forming A o X
         residual_norm=float(np.linalg.norm((A * e) @ X.T)),
