@@ -368,7 +368,8 @@ def _compare_with_bordered(data, rho, target_d1, seed):
 
 
 class TestMatchesBordered:
-    """The minimum-norm w_hat is the bordered solve's up to rounding, refusals included."""
+    """The minimum-norm w_hat is the bordered solve's up to rounding, and the
+    conditioning refusal keeps the bordered solve's message."""
 
     def test_generic_builds(self):
         rng = np.random.default_rng(60)
