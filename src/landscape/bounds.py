@@ -197,7 +197,15 @@ def dichotomy_count_bound(N, d0):
     """(schlafli, loose): 2 sum_{k<d0} C(N-1, k) exactly, and 2 N^d0 as a float or inf."""
     if N < 1 or d0 < 1:
         raise DomainError("need N >= 1 and d0 >= 1")
-    schlafli = 2 * sum(math.comb(N - 1, k) for k in range(min(d0, N)))
+    if d0 >= N:
+        schlafli = 2 ** N       # every sign vector
+    else:
+        # C(N-1, k+1) = C(N-1, k) (N-1-k) / (k+1), exact in integers
+        term = total = 1
+        for k in range(d0 - 1):
+            term = term * (N - 1 - k) // (k + 1)
+            total += term
+        schlafli = 2 * total
     try:
         return schlafli, 2.0 * float(N) ** d0
     except OverflowError:

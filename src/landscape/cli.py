@@ -28,6 +28,7 @@ from . import volume as volume_mod
 from .errors import (
     ConfigError,
     DatasetFormatError,
+    DomainError,
     LandscapeError,
     NumericalError,
     UsageError,
@@ -373,6 +374,10 @@ def bounds_delta(*, d0: int, n: int):
 
 def bounds_dichotomy(*, n: int, d0: int):
     schlafli, loose = bounds_mod.dichotomy_count_bound(n, d0)
+    limit = sys.get_int_max_str_digits()
+    if limit and schlafli >= 10 ** limit:
+        raise DomainError(f"the Schlafli count has more than {limit} decimal digits, "
+                          "the interpreter's limit for integer string conversion")
     return {"schlafli": schlafli, "loose": loose}
 
 

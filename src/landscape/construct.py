@@ -8,8 +8,8 @@ Summing the blocks reproduces the labels, so the built network has zero
 squared error while keeping every pre-activation away from zero.
 
 The full-size groups are built as one stack: one batched SVD gives their
-null spaces and their offset directions, with the same results, bits and
-generator draws as building one group at a time.
+null spaces, offset directions and singular values, each slice bit for
+bit that group's own SVD, and the blocks are checked in group order.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateData, DomainError, TargetTooSmall, ZeroVector
-from .linalg import canonical_sign, check_bordered, nullspace_solve
+from .linalg import canonical_sign, check_bordered, check_rank, nullspace_solve
 from .network import NetParams, check_leak, evaluate, mean_square
 
 # |w . x| below this (relative to the column norm) counts as a degenerate hit.
@@ -103,32 +103,27 @@ def _eps1(w_tilde, w_hat, X_out):
 def _build_stack(XT, floor, groups, rng):
     """The ConstructionBlocks of equal-size groups, built as one stack.
 
-    One batched SVD of the group matrices M gives each group's null space
-    and w_hat, the minimum-norm solution of M w = 1, which also solves the
-    bordered system [M; w_unit] w = [1; 0] for any unit normal w_unit in
-    the null space, redrawn or not (linalg.nullspace_solve).  Each slice is
-    bit for bit the single-group computation.  The per-block steps loop in
-    block order: the outside-sample check with its redraws from rng, the
-    bordered system's conditioning check, and the eps1 products on the
-    block's X_out, where a stacked product would round differently.  A
-    stack whose groups are not all of full rank is built one group at a
-    time, so refusals come in group order.  XT is X.T in C order and floor
-    holds _DEGENERATE_TOL times the norm of every column of X.
+    One batched SVD of the group matrices M gives each group's null space,
+    its singular values and w_hat, the minimum-norm solution of M w = 1,
+    which also solves the bordered system [M; w_unit] w = [1; 0] for any
+    unit normal w_unit in the null space, redrawn or not
+    (linalg.nullspace_solve).  Each slice is bit for bit the single-group
+    computation.  The per-block steps loop in block order, so the first
+    failing group refuses the build: its rank check, the outside-sample
+    check with its redraws from rng, the bordered system's conditioning
+    check, and the eps1 products on the block's X_out, where a stacked
+    product would round differently.  XT is X.T in C order and floor holds
+    _DEGENERATE_TOL times the norm of every column of X.
     """
     M = XT[np.array(groups)]    # M[b] = X[:, groups[b]].T
-    try:
-        basis, W_hat, bordered = nullspace_solve(M, np.ones(M.shape[:2]))
-    except DegenerateData:      # a group's rank is below its size
-        if len(groups) == 1:
-            raise
-        return [block for g in groups for block in _build_stack(XT, floor, [g], rng)]
-
+    basis, W_hat, s = nullspace_solve(M, np.ones(M.shape[:2]))
     # the first candidate is the smallest singular direction
     W_unit = np.array([canonical_sign(v) for v in basis[..., -1]])
 
     blocks = []
     outside = np.ones(XT.shape[0], dtype=bool)
     for b, subset in enumerate(groups):
+        check_rank(s[b])
         outside[subset] = False
         cols = outside.nonzero()[0]     # the samples outside the subset, in ascending order
         outside[subset] = True
@@ -137,7 +132,7 @@ def _build_stack(XT, floor, groups, rng):
         floor_out = floor.take(cols)
         if not _misses_outside(W_unit[b], X_out, floor_out):
             W_unit[b] = _redraw(basis[b], X_out, floor_out, rng)
-        check_bordered(bordered[b])
+        check_bordered(s[b])
         w_tilde = W_unit[b] * np.linalg.norm(W_hat[b])
         eps1 = _eps1(w_tilde, W_hat[b], X_out)
         blocks.append(ConstructionBlock(tuple(subset), w_tilde, W_hat[b], eps1, _GAMMA * eps1))
@@ -145,7 +140,7 @@ def _build_stack(XT, floor, groups, rng):
 
 
 def build_global_minimum(data, rho, target_d1=None, seed=None):
-    """Construct (W*, z*) with forward(params, X) = y exactly.
+    """Construct (W*, z*) whose outputs on X are y exactly.
 
     The hidden width is 4 * ceil(|S+| / (d0 - 1)) where S+ is the positive
     class; pass target_d1 to pad with Gaussian rows carrying zero output
@@ -153,8 +148,8 @@ def build_global_minimum(data, rho, target_d1=None, seed=None):
 
     The full-size groups are built as one stack and the shorter last group,
     if any, as a stack of one (_build_stack).  The result, the generator's
-    draws and any refusal's type and message are those of building the
-    groups one at a time in order.
+    draws and any refusal's type and message are those of building and
+    checking the groups one at a time in order.
 
     Raises
     ------

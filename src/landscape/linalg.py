@@ -2,14 +2,16 @@
 
 Everything here is a pure function of its inputs.  Instances in scope are
 dense and small (at most a few thousand rows), so all routines factorize
-with a full SVD and apply relative singular-value thresholds: the rank rule
-is _rank, the conditioning rule check_bordered.  nullspace_solve takes a
-null space and a minimum-norm solution from one SVD.
+with a full SVD and apply relative singular-value thresholds.
+nullspace_solve takes a null space, a minimum-norm solution and the
+singular values from one SVD, and refuses no matrix for its rank: its
+caller refuses a slice by its singular values, check_rank for rank,
+check_bordered for conditioning.
 
-nullspace_basis, nullspace_solve and numerical_rank also take a stack of
-matrices on leading axes.  numpy's batched SVD and its (..., n, 1) matmuls
-run the same per-slice kernels as a single call, so each slice of a
-stacked result is bit for bit the result of calling on that slice alone.
+nullspace_solve and numerical_rank also take a stack of matrices on
+leading axes.  numpy's batched SVD and its (..., n, 1) matmuls run the
+same per-slice kernels as a single call, so each slice of a stacked
+result is bit for bit the result of calling on that slice alone.
 Non-finite input raises DomainError before any factorization.
 """
 
@@ -39,64 +41,48 @@ def _matvec(A, x):
     return (A @ x[..., None])[..., 0]
 
 
-def _null_svd(M):
-    """The SVD of M (..., k, d) with all of V, and the rank its slices share."""
-    M = np.asarray(M, dtype=float)
-    _check_finite(M)
-    U, s, Vt = np.linalg.svd(M, full_matrices=True)
-    ranks = _rank(s, DEFAULT_RANK_TOL)
-    rank = int(np.max(ranks, initial=0))
-    if np.any(ranks != rank):
-        raise DegenerateData("null-space dimension varies over the stack")
-    if rank >= M.shape[-1]:
-        raise DegenerateData("null space is trivial")
-    return U, s, Vt, rank
+def nullspace_solve(M, b):
+    """Null-space basis of M (..., k, d), the minimum-norm x with M x = b, and M's singular values.
 
-
-def nullspace_basis(M):
-    """Orthonormal basis (..., d, d - rank) of the null space of a k x d matrix.
-
-    For a stack (..., k, d) every slice must have the same rank; each
-    slice of the result is the basis of that slice.
+    One SVD gives all three; x gets one step of iterative refinement.
+    Returns (basis, x, s): basis (..., d, d - k) and x are meaningful only
+    for a slice of full row rank, which check_rank(s) tells.  x lies in the
+    row space of M, so it also solves [M; v] x = [b; 0] for every unit v in
+    the null space, and that bordered system's singular values are those of
+    M and 1 (check_bordered).
 
     Raises
     ------
     DomainError
-        If M has a non-finite entry.
+        If M or b has a non-finite entry.
     DegenerateData
-        If the null space is trivial, or its dimension varies over the stack.
-    """
-    _, _, Vt, rank = _null_svd(M)
-    return Vt[..., rank:, :].swapaxes(-1, -2)
-
-
-def nullspace_solve(M, b):
-    """Null-space basis of a full-row-rank M (..., k, d) and the minimum-norm x with M x = b.
-
-    One SVD gives both; x gets one step of iterative refinement.  x lies in
-    the row space of M, so it also solves [M; v] x = [b; 0] for every unit v
-    in the null space, and that bordered system's singular values are those
-    of M and 1.  Returns (basis, x, bordered), bordered (..., 2) holding
-    their largest and smallest, for check_bordered.  Raises as
-    nullspace_basis (b too), and DegenerateData if a slice's rank is below k.
+        If k >= d: the null space of a full-row-rank M is trivial.
     """
     M = np.asarray(M, dtype=float)
     b = np.asarray(b, dtype=float)
-    _check_finite(b)
-    U, s, Vt, rank = _null_svd(M)
-    if rank < M.shape[-2]:
-        raise DegenerateData(f"rank(M) < {M.shape[-2]} at relative tolerance {DEFAULT_RANK_TOL:g}")
-    Ut, V = U.swapaxes(-1, -2), Vt[..., :rank, :].swapaxes(-1, -2)
-    with np.errstate(over="ignore", invalid="ignore"):  # only where check_bordered refuses
+    _check_finite(M, b)
+    k = M.shape[-2]
+    if k >= M.shape[-1]:
+        raise DegenerateData("null space is trivial")
+    U, s, Vt = np.linalg.svd(M, full_matrices=True)
+    Ut, V = U.swapaxes(-1, -2), Vt[..., :k, :].swapaxes(-1, -2)
+    # inf and nan arise only in slices that check_rank or check_bordered refuses
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = _matvec(V, _matvec(Ut, b) / s)
         x = x + _matvec(V, _matvec(Ut, b - _matvec(M, x)) / s)
-    bordered = np.stack([np.maximum(s[..., 0], 1.0), np.minimum(s[..., -1], 1.0)], axis=-1)
-    return Vt[..., rank:, :].swapaxes(-1, -2), x, bordered
+    return Vt[..., k:, :].swapaxes(-1, -2), x, s
 
 
-def check_bordered(bordered):
-    """Refuse an ill-conditioned bordered system: smallest singular value below 1e-12 * largest."""
-    largest, smallest = bordered
+def check_rank(s):
+    """Refuse M, its singular values s (k,), if fewer than k exceed 1e-10 * the largest."""
+    if _rank(s, DEFAULT_RANK_TOL) < len(s):
+        raise DegenerateData(f"rank(M) < {len(s)} at relative tolerance {DEFAULT_RANK_TOL:g}")
+
+
+def check_bordered(s):
+    """Refuse M, its singular values s, if the bordered [M; v] is ill-conditioned: of s and 1,
+    the smallest below 1e-12 * the largest."""
+    largest, smallest = max(s[0], 1.0), min(s[-1], 1.0)
     if smallest < 1e-12 * largest:
         raise DegenerateData(f"smallest singular value {smallest:.3e} below 1e-12 * {largest:.3e}")
 

@@ -122,24 +122,14 @@ def misclassified(y, yhat):
     return float(np.mean((yhat >= 0.5) != (y == 1.0)))
 
 
-def forward(params, X):
-    """Network output on every sample: f(WX)^T z as a length-N vector."""
-    return evaluate(params.W, params.z, params.rho, np.asarray(X, dtype=float))[3]
-
-
-def residual(params, data):
-    """Residual e = y - forward(params, X)."""
-    return data.y - forward(params, data.X)
-
-
 def mse(params, data):
     """Mean square error (1/N) ||y - yhat||^2."""
-    return mean_square(residual(params, data))
+    return mean_square(data.y - evaluate(params.W, params.z, params.rho, data.X)[3])
 
 
 def mce(params, data):
     """Fraction misclassified at output threshold 0.5; a tie predicts class 1."""
-    return misclassified(data.y, forward(params, data.X))
+    return misclassified(data.y, evaluate(params.W, params.z, params.rho, data.X)[3])
 
 
 def khatri_rao(A, X):
@@ -151,9 +141,3 @@ def khatri_rao(A, X):
     d0 = X.shape[0]
     d1 = A.shape[0]
     return np.repeat(A, d0, axis=0) * np.tile(X, (d1, 1))
-
-
-def gradient(params, data):
-    """Analytic MSE gradient (dW, dz) with slope 1 at zero pre-activations."""
-    _, A, H, yhat = evaluate(params.W, params.z, params.rho, data.X)
-    return backward(params.z, data.X, A, H, data.y - yhat)

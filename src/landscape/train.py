@@ -146,7 +146,7 @@ def gen_gaussian_dataset(d0, N, seed):
 def he_init(d1, d0, seed, rho=0.0):
     """Uniform zero-mean weights with variance 2/fan-in per layer."""
     if d1 < 1 or d0 < 1:
-        raise ValueError("d1 and d0 must be at least 1")
+        raise DomainError("d1 and d0 must be at least 1")
     rng = np.random.default_rng(seed)
     a_w = np.sqrt(6.0 / d0)
     a_z = np.sqrt(6.0 / d1)
@@ -274,9 +274,9 @@ def scan_overparam(d_values, N_factors, seeds, config):
     ratio d^2 / N alongside the aggregate error.
     """
     if not d_values or not N_factors:
-        raise ValueError("d_values and N_factors must be nonempty")
+        raise DomainError("d_values and N_factors must be nonempty")
     if seeds < 1:
-        raise ValueError("seeds must be at least 1")
+        raise DomainError("seeds must be at least 1")
     if any(d < 1 for d in d_values) or not all(f > 0 for f in N_factors):
         raise DomainError("every d must be at least 1 and every N factor positive")
     rows = []
@@ -302,7 +302,9 @@ def dlm_diagnostic(d, seeds, config):
     so the loss settles before the floor is read off.
     """
     if d < 4:
-        raise ValueError("d must be at least 4")
+        raise DomainError("d must be at least 4")
+    if seeds < 1:
+        raise DomainError("seeds must be at least 1")
     N = d * d // 5
     results = _run_cell(d, N, config, (config.seed, "diagnostic"), seeds)
     return [{"seed_index": s, "min_neural_input": result.min_neural_input,

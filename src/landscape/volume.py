@@ -105,7 +105,7 @@ class RegionSpec:
         if d1 is None:
             d1 = rows
         if d1 < rows:
-            raise ValueError("d1 must cover every row of Wstar")
+            raise DomainError("d1 must cover every row of Wstar")
         signs = np.sign(Wstar @ X)
         return cls(d1=d1, d0=X.shape[0], predicate=_sign_region(X, signs, rows))
 
@@ -220,7 +220,7 @@ def coherence(A):
     """Largest |cosine| between two distinct columns of A, per matrix of the leading axes."""
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-1] < 2:
-        raise ValueError("coherence needs a matrix with at least two columns")
+        raise DomainError("coherence needs a matrix with at least two columns")
     G = np.swapaxes(A, -1, -2) @ A
     diagonal = np.arange(A.shape[-1])
     norms = np.sqrt(G[..., diagonal, diagonal])

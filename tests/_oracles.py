@@ -21,10 +21,12 @@ from landscape import construct
 from landscape.construct import Construction, ConstructionBlock, partition_positive
 from landscape.errors import DegenerateData, TargetTooSmall
 from landscape.linalg import (
+    DEFAULT_RANK_TOL,
     _check_finite,
     _matvec,
     canonical_sign,
     check_bordered,
+    check_rank,
     nullspace_solve,
     numerical_rank,
 )
@@ -182,14 +184,27 @@ def solve_linear(A, b):
     return x + _matvec(V, _matvec(Ut, b - _matvec(A, x)) / s)
 
 
+def nullspace_basis(M):
+    """Orthonormal basis (d, d - rank) of the null space of one k x d matrix M, of any rank.
+
+    From M's full SVD, the rows of V^T past the rank at relative tolerance
+    1e-10.  nullspace_solve's basis has d - k columns, which is the whole
+    null space only for a full-row-rank M; tests that plant a
+    rank-deficient group still need all of it.
+    """
+    _, s, Vt = np.linalg.svd(np.asarray(M, dtype=float), full_matrices=True)
+    return Vt[int((s > DEFAULT_RANK_TOL * s[:1]).sum()):].T
+
+
 def _block_directions(X, subset, rng):
     """Hyperplane normal for the subset, redrawn inside the null space if needed, and X_out.
 
     Also returns the group matrix M, the minimum-norm solution of M w = 1
-    and the bordered system's singular-value pair, from the null-space SVD.
+    and M's singular values, from the null-space SVD.
     """
     M = np.ascontiguousarray(X[:, subset].T)
-    basis, w_hat, bordered = nullspace_solve(M, np.ones(len(subset)))
+    basis, w_hat, s = nullspace_solve(M, np.ones(len(subset)))
+    check_rank(s)
     outside = np.ones(X.shape[1], dtype=bool)
     outside[subset] = False
     X_out = X[:, outside]
@@ -201,20 +216,20 @@ def _block_directions(X, subset, rng):
             v = v / np.linalg.norm(v)
         v = canonical_sign(v)
         if np.all(np.abs(v @ X_out) > floor):
-            return v, X_out, (M, w_hat, bordered)
+            return v, X_out, (M, w_hat, s)
     raise DegenerateData(
         "a group hyperplane passes through an outside sample; "
         "perturb X infinitesimally and rebuild"
     )
 
 
-def _min_norm_offset(w_unit, M, w_hat, bordered):
+def _min_norm_offset(w_unit, M, w_hat, s):
     """The null-space SVD's minimum-norm w_hat, once its bordered system passes."""
-    check_bordered(bordered)
+    check_bordered(s)
     return w_hat
 
 
-def _bordered_offset(w_unit, M, w_hat, bordered):
+def _bordered_offset(w_unit, M, w_hat, s):
     """w_hat solved from the bordered system [M; w_unit] w = [1; 0]."""
     return solve_linear(np.vstack([M, w_unit]), np.concatenate([np.ones(len(M)), [0.0]]))
 
@@ -225,8 +240,8 @@ def build_global_minimum_per_block(data, rho, target_d1=None, seed=None,
 
     The reference for construct.build_global_minimum, which builds the
     blocks as one stack: same W, z, blocks, checked outputs, generator
-    draws and refusals, bit for bit.  offset(w_unit, M, w_hat, bordered)
-    gives each block's offset direction.
+    draws and refusals, bit for bit.  offset(w_unit, M, w_hat, s) gives
+    each block's offset direction.
     """
     check_leak(rho)
     X = data.X

@@ -31,11 +31,11 @@ from landscape.network import (
     Dataset,
     NetParams,
     activation_slopes,
-    gradient,
+    backward,
+    evaluate,
     khatri_rao,
     mce,
     mse,
-    residual,
 )
 from landscape.stationarity import rank_condition_oracle
 from landscape.train import TrainConfig, dlm_diagnostic, gen_gaussian_dataset, scan_overparam
@@ -91,8 +91,9 @@ def test_criterion_02_first_order_identity_and_gradient():
             params = NetParams(W=rng.standard_normal((d1, d0)),
                                z=rng.standard_normal(d1), rho=rho)
             assert np.min(np.abs(params.W @ data.X)) > 1e-9  # off-boundary draw
-            e = residual(params, data)
-            dW, dz = gradient(params, data)
+            _, slopes, H, yhat = evaluate(params.W, params.z, rho, data.X)
+            e = data.y - yhat
+            dW, dz = backward(params.z, data.X, slopes, H, e)
             A = activation_slopes(params.W @ data.X, rho)
             G = khatri_rao(A, data.X)
             grad_wtilde = (dW / params.z[:, None]).ravel()

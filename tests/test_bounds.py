@@ -259,6 +259,17 @@ class TestDichotomyCountBound:
                 schlafli, loose = dichotomy_count_bound(N, d0)
                 assert schlafli <= loose
 
+    def test_matches_binomial_sum_on_grid(self):
+        for N in range(1, 41):
+            for d0 in range(1, 45):
+                schlafli, _ = dichotomy_count_bound(N, d0)
+                assert schlafli == 2 * sum(math.comb(N - 1, k) for k in range(min(d0, N)))
+
+    def test_large_count_is_exact(self):
+        # C(N-1, k) summed over k < N - 1 misses only C(N-1, N-1) = 1 of 2^(N-1)
+        assert dichotomy_count_bound(16000, 16000)[0] == 2 ** 16000
+        assert dichotomy_count_bound(16000, 15999)[0] == 2 ** 16000 - 2
+
     def test_matches_enumeration_oracles(self):
         rng = np.random.default_rng(15)
         for d0, N in ((2, 5), (2, 7), (3, 5)):

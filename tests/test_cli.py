@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -478,6 +479,8 @@ class TestExitCodes:
                      '"seed": -5}', id="scan-seed-negative"),
         pytest.param("diagnostic", '{"d": 4, "seeds": 1, "epochs": 2, "seed": -5}',
                      id="diagnostic-seed-negative"),
+        pytest.param("diagnostic", '{"d": 4, "seeds": 0, "epochs": 4, "lr_decay_epochs": 2}',
+                     id="diagnostic-seeds-0"),
     ])
     def test_bad_config_exits_one_without_artifact(self, tmp_path, capsys, command, config):
         path = tmp_path / "c.json"
@@ -553,6 +556,16 @@ class TestBoundsCommands:
         assert rc == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed["loose"] == math.inf and printed["schlafli"] > 0
+
+    def test_dichotomy_past_the_int_string_limit_exits_one_without_artifact(self, tmp_path,
+                                                                            capsys):
+        # 2^16000 has 4817 decimal digits, past the default limit of 4300
+        out = tmp_path / "never.json"
+        assert run_cli("bounds", "dichotomy", "--n", "16000", "--d0", "16000",
+                       "--out", str(out)) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{sys.get_int_max_str_digits()} decimal digits" in err
 
 
 class TestPinnedKindOutputs:

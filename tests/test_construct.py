@@ -3,7 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from _oracles import build_global_minimum_bordered, build_global_minimum_per_block, same_bits
+from _oracles import (
+    build_global_minimum_bordered,
+    build_global_minimum_per_block,
+    nullspace_basis,
+    same_bits,
+)
 from landscape.construct import (
     MarginCertificate,
     angular_margin,
@@ -18,8 +23,8 @@ from landscape.errors import (
     TargetTooSmall,
     ZeroVector,
 )
-from landscape.linalg import canonical_sign, nullspace_basis
-from landscape.network import Dataset, evaluate, forward, mce, mse
+from landscape.linalg import canonical_sign
+from landscape.network import Dataset, evaluate, mce, mse
 from landscape.train import gen_gaussian_dataset
 
 
@@ -61,7 +66,8 @@ class TestBuildGlobalMinimum:
         assert built.d1_star == 0
         assert built.params.W.shape == (5, 3)
         assert np.all(built.params.z == 0.0)
-        np.testing.assert_array_equal(forward(built.params, data.X), np.zeros(6))
+        yhat = evaluate(built.params.W, built.params.z, built.params.rho, data.X)[3]
+        np.testing.assert_array_equal(yhat, np.zeros(6))
 
     def test_block_responses_are_indicators(self):
         data = gen_gaussian_dataset(4, 25, seed=4)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ from _oracles import same_bits, solve_linear
 from landscape.errors import DegenerateData, DomainError
 from landscape.linalg import (
     canonical_sign,
-    nullspace_basis,
+    check_bordered,
+    check_rank,
+    nullspace_solve,
     numerical_rank,
 )
 
@@ -51,14 +55,26 @@ class TestSolveLinear:
             assert np.linalg.norm(A @ x - b) <= 1e-10 * (1 + np.linalg.norm(b))
 
 
+def _solve_ones(M):
+    """nullspace_solve(M, 1): the null-space basis, the minimum-norm x with M x = 1, and s."""
+    M = np.asarray(M, dtype=float)
+    return nullspace_solve(M, np.ones(M.shape[:-1]))
+
+
 class TestNullspaceBasis:
+    """nullspace_solve on a full-row-rank M: an orthonormal null-space basis, the
+    minimum-norm solution of M x = 1 and M's singular values."""
+
     def test_spans_null_space(self):
         rng = np.random.default_rng(4)
         M = rng.standard_normal((2, 6))
-        B = nullspace_basis(M)
+        B, x, s = _solve_ones(M)
         assert B.shape == (6, 4)
         assert np.linalg.norm(M @ B) <= 1e-10
         np.testing.assert_allclose(B.T @ B, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(M @ x, np.ones(2), atol=1e-12)
+        assert np.linalg.norm(B.T @ x) <= 1e-12     # minimum norm: x is off the null space
+        np.testing.assert_allclose(s, np.linalg.svd(M, compute_uv=False), rtol=1e-14)
 
     @pytest.mark.parametrize("M, last", [
         pytest.param([[1.0, 0.0]], [0.0, 1.0], id="complement-of-e1"),
@@ -68,7 +84,7 @@ class TestNullspaceBasis:
         pytest.param([[1.0, 1.0]], [1 / SQ2, -1 / SQ2], id="canonical-sign"),
     ])
     def test_last_column_under_canonical_sign(self, M, last):
-        np.testing.assert_allclose(canonical_sign(nullspace_basis(M)[:, -1]), last, atol=1e-14)
+        np.testing.assert_allclose(canonical_sign(_solve_ones(M)[0][:, -1]), last, atol=1e-14)
 
     def test_random_generic_orthonormal_and_residual(self):
         rng = np.random.default_rng(2)
@@ -76,14 +92,22 @@ class TestNullspaceBasis:
             d = int(rng.integers(2, 10))
             k = int(rng.integers(1, d))
             M = rng.standard_normal((k, d))
-            B = nullspace_basis(M)
-            assert B.shape == (d, d - k)
+            B, x, s = _solve_ones(M)
+            assert B.shape == (d, d - k) and x.shape == (d,) and s.shape == (k,)
             np.testing.assert_allclose(B.T @ B, np.eye(d - k), atol=1e-12)
             assert np.linalg.norm(M @ B) <= 1e-10
+            assert np.linalg.norm(M @ x - 1.0) <= 1e-10 * (1.0 + np.linalg.norm(x))
+            check_rank(s)
 
     def test_determinism(self):
         M = np.random.default_rng(3).standard_normal((3, 5))
-        np.testing.assert_array_equal(nullspace_basis(M), nullspace_basis(M))
+        for a, b in zip(_solve_ones(M), _solve_ones(M)):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("M", [np.eye(2), np.ones((3, 2))], ids=["square", "tall"])
+    def test_trivial_null_space_raises(self, M):
+        with pytest.raises(DegenerateData, match="null space is trivial"):
+            _solve_ones(M)
 
 
 class TestNumericalRank:
@@ -135,9 +159,43 @@ class TestStacks:
         rng = np.random.default_rng(31)
         for k, d in [(1, 2), (4, 5), (2, 9), (19, 20), (49, 50)]:
             M = rng.standard_normal((*lead, k, d))
-            B = nullspace_basis(M)
+            stacked = _solve_ones(M)
             for idx in np.ndindex(*lead):
-                assert same_bits(B[idx], nullspace_basis(M[idx]))
+                for got, alone in zip(stacked, _solve_ones(M[idx])):
+                    assert same_bits(got[idx], alone)
+
+    def test_refused_slices_leave_the_others_bit_for_bit(self):
+        # slices: generic, rank 0, a repeated row, full rank but scaled by 1e-14 (an
+        # ill-conditioned bordered system), generic
+        rng = np.random.default_rng(33)
+        M = rng.standard_normal((5, 3, 6))
+        M[1] = 0.0
+        M[2, 2] = M[2, 0]
+        M[3] *= 1e-14
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = _solve_ones(M)
+        s = stacked[2]
+        refused = {}
+        for j in range(len(M)):
+            alone = _solve_ones(M[j])
+            assert same_bits(s[j], alone[2])
+            try:
+                check_rank(s[j])
+            except DegenerateData as exc:
+                refused[j] = str(exc)
+                continue
+            assert all(same_bits(got[j], a) for got, a in zip(stacked, alone))
+            try:
+                check_bordered(s[j])
+            except DegenerateData as exc:
+                refused[j] = str(exc)
+        assert refused == {
+            1: "rank(M) < 3 at relative tolerance 1e-10",
+            2: "rank(M) < 3 at relative tolerance 1e-10",
+            3: f"smallest singular value {s[3, -1]:.3e} below 1e-12 * 1.000e+00",
+        }
+        assert 1e-16 < s[3, -1] < 1e-13
 
     def test_numerical_rank_with_deficient_slices(self):
         rng = np.random.default_rng(32)
@@ -148,12 +206,6 @@ class TestStacks:
         assert ranks.tolist() == [4, 3, 4, 4, 0, 4]
         assert all(ranks[j] == numerical_rank(M[j]) for j in range(6))
         assert numerical_rank(M.reshape(2, 3, 4, 5), 1e-8).shape == (2, 3)
-
-    def test_nullspace_dimension_varying_over_the_stack_raises(self):
-        M = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
-                      [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]])
-        with pytest.raises(DegenerateData, match="varies over the stack"):
-            nullspace_basis(M)
 
     def test_ill_conditioned_slice_reports_the_first(self):
         A = np.tile(np.eye(2), (4, 1, 1))
@@ -191,7 +243,8 @@ class TestNonFinite:
         pytest.param([[np.nan, 1.0]], id="single"),
         pytest.param([[[1.0, 0.0]], [[-np.inf, 1.0]]], id="stack"),
     ])
-    @pytest.mark.parametrize("fn", [nullspace_basis, numerical_rank])
+    @pytest.mark.parametrize("fn", [pytest.param(_solve_ones, id="nullspace_solve"),
+                                    numerical_rank])
     def test_nullspace_basis_and_numerical_rank(self, fn, M):
         with pytest.raises(DomainError, match="non-finite"):
             fn(M)

@@ -11,12 +11,9 @@ from landscape.network import (
     backward,
     check_leak,
     evaluate,
-    forward,
-    gradient,
     khatri_rao,
     mce,
     mse,
-    residual,
 )
 from landscape.volume import RegionSpec
 
@@ -83,15 +80,18 @@ class TestActivationPattern:
 class TestForward:
     def test_single_unit(self):
         params = NetParams(W=[[1.0]], z=[1.0], rho=0.0)
-        np.testing.assert_allclose(forward(params, [[2.0, -2.0]]), [2.0, 0.0])
+        yhat = evaluate(params.W, params.z, params.rho, np.array([[2.0, -2.0]]))[3]
+        np.testing.assert_allclose(yhat, [2.0, 0.0])
 
     def test_zero_output_weights(self):
         params = NetParams(W=np.ones((3, 2)), z=np.zeros(3), rho=0.5)
-        np.testing.assert_array_equal(forward(params, np.ones((2, 4))), np.zeros(4))
+        yhat = evaluate(params.W, params.z, params.rho, np.ones((2, 4)))[3]
+        np.testing.assert_array_equal(yhat, np.zeros(4))
 
     def test_two_units_hand_value(self):
         params = NetParams(W=[[1.0], [-1.0]], z=[1.0, 1.0], rho=0.0)
-        np.testing.assert_allclose(forward(params, [[3.0]]), [3.0])
+        yhat = evaluate(params.W, params.z, params.rho, np.array([[3.0]]))[3]
+        np.testing.assert_allclose(yhat, [3.0])
 
 
 class TestLosses:
@@ -129,7 +129,7 @@ class TestLosses:
             d0, N = int(rng.integers(1, 5)), int(rng.integers(1, 20))
             data = Dataset(X=rng.standard_normal((d0, N)), y=rng.integers(0, 2, N).astype(float))
             params = NetParams(W=rng.standard_normal((3, d0)), z=np.zeros(3), rho=0.1)
-            e = residual(params, data)
+            e = data.y - evaluate(params.W, params.z, params.rho, data.X)[3]
             assert mce(params, data) <= np.count_nonzero(e) / N + 1e-15
 
 
@@ -162,14 +162,16 @@ class TestGradient:
     def test_zero_at_exact_fit(self):
         params = NetParams(W=[[1.0]], z=[1.0], rho=0.0)
         data = Dataset(X=[[1.0, -1.0]], y=[1.0, 0.0])
-        dW, dz = gradient(params, data)
+        _, A, H, yhat = evaluate(params.W, params.z, params.rho, data.X)
+        dW, dz = backward(params.z, data.X, A, H, data.y - yhat)
         assert np.all(dW == 0.0) and np.all(dz == 0.0)
 
     def test_hand_value(self):
         # d(y - z*w*x)^2/dW at W=z=x=1, y=0 is 2; same for z
         params = NetParams(W=[[1.0]], z=[1.0], rho=0.0)
         data = Dataset(X=[[1.0]], y=[0.0])
-        dW, dz = gradient(params, data)
+        _, A, H, yhat = evaluate(params.W, params.z, params.rho, data.X)
+        dW, dz = backward(params.z, data.X, A, H, data.y - yhat)
         assert dW[0, 0] == pytest.approx(2.0)
         assert dz[0] == pytest.approx(2.0)
 
@@ -178,7 +180,8 @@ class TestGradient:
         for _ in range(25):
             params, data = _random_instance(rng)
             assert np.min(np.abs(params.W @ data.X)) > 1e-5  # off-boundary draw
-            dW, dz = gradient(params, data)
+            _, A, H, yhat = evaluate(params.W, params.z, params.rho, data.X)
+            dW, dz = backward(params.z, data.X, A, H, data.y - yhat)
             gW, gz = fd_gradient(params, data)
             num = np.sqrt(np.sum((gW - dW) ** 2) + np.sum((gz - dz) ** 2))
             den = np.sqrt(np.sum(dW ** 2) + np.sum(dz ** 2))
@@ -212,8 +215,9 @@ class TestStructuralIdentities:
         for _ in range(100):
             params, data = _random_instance(rng)
             N = data.n_samples
-            e = residual(params, data)
-            dW, _ = gradient(params, data)
+            _, slopes, H, yhat = evaluate(params.W, params.z, params.rho, data.X)
+            e = data.y - yhat
+            dW, _ = backward(params.z, data.X, slopes, H, e)
             A = activation_slopes(params.W @ data.X, params.rho)
             G = khatri_rao(A, data.X)
             grad_wtilde = (dW / params.z[:, None]).ravel()
@@ -231,7 +235,8 @@ class TestStructuralIdentities:
             z2[i] /= c
             scaled = NetParams(W=W2, z=z2, rho=params.rho)
             np.testing.assert_allclose(
-                forward(scaled, data.X), forward(params, data.X), atol=1e-12, rtol=0
+                evaluate(scaled.W, scaled.z, scaled.rho, data.X)[3],
+                evaluate(params.W, params.z, params.rho, data.X)[3], atol=1e-12, rtol=0
             )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from landscape.errors import DomainError, NonFinite
-from landscape.network import Dataset, NetParams, gradient
+from landscape.network import Dataset, NetParams, backward, evaluate
 from landscape.stationarity import dlm_condition
 from landscape.train import (
     Adam,
@@ -242,7 +242,9 @@ class TestPinnedOutputs:
         return params, data
 
     def test_gradient(self):
-        dW, dz = gradient(*self._instance())
+        params, data = self._instance()
+        _, A, H, yhat = evaluate(params.W, params.z, params.rho, data.X)
+        dW, dz = backward(params.z, data.X, A, H, data.y - yhat)
         assert _digest(dW, dz) == (
             "44c6e05b0f0a87571a2bfd818e66987193359c66bc9cca513dda1b0b29dc14fa")
 
@@ -318,6 +320,24 @@ class TestDlmDiagnostic:
     def test_d_floor(self):
         with pytest.raises(ValueError):
             dlm_diagnostic(3, seeds=1, config=TrainConfig(epochs=2))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: scan_overparam([], [1.0], 1, TrainConfig(epochs=1)), "nonempty",
+                 id="scan-no-d"),
+    pytest.param(lambda: scan_overparam([4], [], 1, TrainConfig(epochs=1)), "nonempty",
+                 id="scan-no-factor"),
+    pytest.param(lambda: scan_overparam([4], [1.0], 0, TrainConfig(epochs=1)), "seeds",
+                 id="scan-zero-seeds"),
+    pytest.param(lambda: dlm_diagnostic(3, 1, TrainConfig(epochs=2)), "d must be at least 4",
+                 id="diagnostic-d3"),
+    pytest.param(lambda: dlm_diagnostic(4, 0, TrainConfig(epochs=2)), "seeds",
+                 id="diagnostic-zero-seeds"),
+    pytest.param(lambda: he_init(0, 3, seed=0), "at least 1", id="he-init-d1-0"),
+])
+def test_argument_domain_checks_raise_domain_error(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 class TestDeriveSeed:

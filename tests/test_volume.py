@@ -170,6 +170,11 @@ class TestCoherence:
         with pytest.raises(ZeroVector):
             coherence(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("A", [np.ones((3, 1)), np.ones(3)], ids=["one-column", "vector"])
+    def test_fewer_than_two_columns_is_a_domain_error(self, A):
+        with pytest.raises(DomainError, match="two columns"):
+            coherence(A)
+
 
 class TestCoherenceTail:
     def test_eps_one_never_exceeded(self):
@@ -244,6 +249,11 @@ class TestSignRegionRule:
         A = activation_slopes(W @ X, 0.5)  # slope 1 at the zeros
         assert not RegionSpec.from_activation_pattern(A, X).predicate(W)
         assert not RegionSpec.from_sign_match(X, W).predicate(W)
+
+    def test_sign_match_width_below_rows_is_a_domain_error(self):
+        X, Wstar = np.eye(3), np.ones((2, 3))
+        with pytest.raises(DomainError, match="d1 must cover every row"):
+            RegionSpec.from_sign_match(X, Wstar, d1=1)
 
     @settings(deadline=None)
     @given(_instances())
