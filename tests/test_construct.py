@@ -9,6 +9,7 @@ from _oracles import (
     nullspace_basis,
     same_bits,
 )
+from _sweep import sweep
 from landscape.construct import (
     MarginCertificate,
     angular_margin,
@@ -250,6 +251,17 @@ class TestRedrawPath:
                 h.update(built.params.z.tobytes())
         assert h.hexdigest() == (
             "ef24ac5381f7e8385dfde2ec02a85a87bc17365d08c5a4d43284e04f3fcbe499")
+
+    @pytest.mark.slow
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_pinned_refusal_sweep(self):
+        # 3000 datasets with planted defects (tests/_sweep.py): every build and
+        # refusal to the last bit, and how many inputs each refusal rule takes,
+        # so a contract change shows which rule moved
+        digest, outcomes = sweep(seed=1, count=3000)
+        assert dict(outcomes) == {"built": 808, "rank": 733, "conditioning": 255,
+                                  "outside-sample": 971, "budget": 233}
+        assert digest == "88f8b6863fa74a19e9ed23e88e15b70447d51cdec404b1f9b8322faa4dd97752"
 
 
 def _compare_with_per_block(data, rho, target_d1, seed):
