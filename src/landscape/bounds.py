@@ -167,6 +167,8 @@ def global_volume_log_lower_bound(d0, d1_star, sin_alpha):
     """Log of [2 sin(alpha)^(d0-1) / ((d0-1) B(1/2, (d0-1)/2))]^d1_star."""
     if d0 < 2:
         raise DomainError("d0 must be at least 2")
+    if d1_star < 1:
+        raise DomainError(f"d1_star must be at least 1, got {d1_star}")
     if not 0.0 < sin_alpha <= 1.0:
         raise DomainError("sin_alpha must lie in (0, 1]")
     return d1_star * _log_cap(d0, sin_alpha)

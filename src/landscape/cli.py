@@ -38,7 +38,7 @@ from .network import (
     Dataset, activation_slopes, check_leak, khatri_rao, mean_square, misclassified,
 )
 from .stationarity import rank_condition_oracle
-from .train import Seed
+from .train import Seed, conforms
 
 EXIT_OK = 0
 EXIT_USAGE = 1        # every LandscapeError that is not a NumericalError, I/O, ValueError
@@ -121,31 +121,10 @@ def load_dataset_csv(path):
     return Dataset(X=X, y=y)
 
 
-def write_dataset_csv(path, data):
-    lines = [f"d0={data.d0},N={data.n_samples}"]
-    for n in range(data.n_samples):
-        fields = [repr(float(v)) for v in data.X[:, n]] + [str(int(data.y[n]))]
-        lines.append(",".join(fields))
-    write_atomic(path, "\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # config handling for train / scan / diagnostic
 
 _TRAIN_KEYS = {f.name for f in fields(train_mod.TrainConfig)}
-
-
-def _is_json(value, kind):
-    """Whether a JSON value matches an annotation: int is an integer (not a bool), Seed a
-    non-negative one, float a finite number, str a string, [T] a list of T; the callee
-    checks others."""
-    if isinstance(kind, list):
-        return isinstance(value, list) and all(_is_json(v, kind[0]) for v in value)
-    if kind in (int, Seed):
-        return isinstance(value, int) and not isinstance(value, bool) and (kind is int or value >= 0)
-    if kind is float:
-        return _is_json(value, int) or isinstance(value, float) and math.isfinite(value)
-    return kind is not str or isinstance(value, str)
 
 
 def _call(handler, values, context):
@@ -153,7 +132,7 @@ def _call(handler, values, context):
 
     values must be a JSON object.  Each key must be a parameter, or a
     TrainConfig field if handler takes **config; each parameter without a
-    default must be present; each annotated value must match (_is_json).
+    default must be present; each annotated value must conform (train.conforms).
     """
     if not isinstance(values, dict):
         raise ConfigError(f"{context} must be a JSON object, got {values!r}")
@@ -167,7 +146,7 @@ def _call(handler, values, context):
         value = values.get(name, param.default)
         if value is param.empty:
             raise ConfigError(f"{context} needs key '{name}'")
-        if name in values and not _is_json(value, param.annotation):
+        if name in values and not conforms(value, param.annotation):
             raise ConfigError(f"invalid value for config key '{name}' in {context}: {value!r}")
     return handler(**values)
 
@@ -175,7 +154,7 @@ def _call(handler, values, context):
 def _train_config(config, **defaults):
     try:
         return train_mod.TrainConfig(**{**defaults, **config})
-    except (TypeError, ValueError) as exc:
+    except DomainError as exc:
         raise ConfigError(f"invalid training configuration: {exc}") from None
 
 

@@ -55,6 +55,17 @@ class MarginCertificate:
     argmin_pair: tuple      # (row index, sample index) achieving the margin
 
 
+def _column_norms(X):
+    """np.linalg.norm(X, axis=0); a column whose sum of squares overflows is scaled first."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(X, axis=0)
+    big = ~np.isfinite(norms)
+    if big.any():
+        scale = np.abs(X[:, big]).max(axis=0)
+        norms[big] = scale * np.linalg.norm(X[:, big] / scale, axis=0)
+    return norms
+
+
 def partition_positive(y, d0):
     """Split the positive-label index set into runs of at most d0 - 1 samples."""
     if d0 < 2:
@@ -170,7 +181,7 @@ def build_global_minimum(data, rho, target_d1=None, seed=None):
     groups = partition_positive(data.y, d0)
     XT = np.ascontiguousarray(data.X.T)
     # summed along contiguous memory per column, as for the F-ordered X_out of a block
-    floor = _DEGENERATE_TOL * np.linalg.norm(XT.T, axis=0)
+    floor = _DEGENERATE_TOL * _column_norms(XT.T)
     n_full = sum(len(g) == d0 - 1 for g in groups)
     blocks = [block for stack in (groups[:n_full], groups[n_full:]) if stack
               for block in _build_stack(XT, floor, stack, rng)]
@@ -219,7 +230,7 @@ def angular_margin(X, Wstar):
     """
     X = np.asarray(X, dtype=float)
     Wstar = np.asarray(Wstar, dtype=float)
-    col_norms = np.linalg.norm(X, axis=0)
+    col_norms = _column_norms(X)
     row_norms = np.linalg.norm(Wstar, axis=1)
     if np.any(col_norms == 0.0) or np.any(row_norms == 0.0):
         raise ZeroVector("angular margin undefined for zero rows or columns")

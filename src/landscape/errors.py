@@ -9,11 +9,15 @@ class NumericalError(LandscapeError):
     """Base class for degenerate-data and numerical failures (CLI exit 2)."""
 
 
-class ShapeMismatch(LandscapeError):
+class DomainError(LandscapeError, ValueError):
+    """A caller's argument breaks a rule of the function it is passed to (CLI exit 1)."""
+
+
+class ShapeMismatch(DomainError):
     """Operands have incompatible dimensions."""
 
 
-class InstanceTooLarge(LandscapeError):
+class InstanceTooLarge(DomainError):
     """Exhaustive oracle asked to enumerate more subsets than its cap allows."""
 
 
@@ -21,20 +25,16 @@ class DegenerateData(NumericalError):
     """Data sits on a measure-zero configuration: a matrix lost rank at the working tolerance."""
 
 
-class BadLeak(LandscapeError, ValueError):
+class BadLeak(DomainError):
     """Leak parameter is not finite or makes the unit linear (rho = 1)."""
 
 
-class TargetTooSmall(LandscapeError):
+class TargetTooSmall(DomainError):
     """Requested hidden width is below the constructed width."""
 
 
 class ZeroVector(NumericalError):
     """A vector required to be nonzero has zero norm."""
-
-
-class DomainError(LandscapeError, ValueError):
-    """Argument outside the mathematical domain of the evaluator or estimator."""
 
 
 class NonFinite(NumericalError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLeak, ShapeMismatch
+from .errors import BadLeak, DomainError, ShapeMismatch
 
 
 def check_leak(rho):
@@ -38,7 +38,7 @@ class NetParams:
         if self.W.ndim != 2 or self.z.ndim != 1 or self.W.shape[0] != self.z.shape[0]:
             raise ShapeMismatch("W must be (d1, d0) and z (d1,)")
         if not (np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.z))):
-            raise ValueError("non-finite parameter entries")
+            raise DomainError("non-finite parameter entries")
 
     @property
     def d1(self):
@@ -62,11 +62,11 @@ class Dataset:
         if self.X.ndim != 2 or self.y.ndim != 1 or self.X.shape[1] != self.y.shape[0]:
             raise ShapeMismatch("X must be (d0, N) and y (N,)")
         if self.y.shape[0] < 1:
-            raise ValueError("dataset needs at least one sample")
+            raise DomainError("dataset needs at least one sample")
         if not np.all((self.y == 0.0) | (self.y == 1.0)):
-            raise ValueError("labels must be exactly 0 or 1")
+            raise DomainError("labels must be exactly 0 or 1")
         if not np.all(np.isfinite(self.X)):
-            raise ValueError("non-finite input entries")
+            raise DomainError("non-finite input entries")
 
     @property
     def n_samples(self):

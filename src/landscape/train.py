@@ -12,7 +12,7 @@ and records the smallest |pre-activation| at the end.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 
 import numpy as np
@@ -35,44 +35,50 @@ class Seed(int):
     def __new__(cls, value):
         seed = super().__new__(cls, value)
         if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {value!r}")
+            raise DomainError(f"seed must be a non-negative integer, got {value!r}")
         return seed
+
+
+_KINDS = {int: "an integer", Seed: "a non-negative integer", float: "a finite number",
+          bool: "true or false"}
+
+
+def conforms(value, kind):
+    """Whether value matches annotation kind as _KINDS words it (a bool is no integer), a
+    str, or a list [T] of T, numpy scalars included.  Other kinds pass: the callee checks."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(conforms(v, kind[0]) for v in value)
+    if kind in (int, Seed):
+        return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                and (kind is int or value >= 0))
+    if kind is float:
+        number = conforms(value, int) or isinstance(value, (float, np.floating))
+        return number and math.isfinite(value)
+    if kind in (bool, str):
+        return isinstance(value, kind)
+    return True
 
 
 @dataclass
 class TrainConfig:
     epochs: int = 4000
     lr: float = 0.01
-    batch: int | None = None            # None: floor(min(N/2, d1/2)), at least 1
     lr_decay_epochs: int = 0
-    seed: int = 0
+    seed: Seed = 0
     rho: float = 0.0
     stop_on_zero_mce: bool = True
 
     def __post_init__(self):
-        counts = {"epochs": self.epochs, "lr_decay_epochs": self.lr_decay_epochs, "seed": self.seed}
-        if self.batch is not None:
-            counts["batch"] = self.batch
-        for name, value in counts.items():
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        Seed(self.seed)     # a negative seed raises ValueError
-        for name in ("lr", "rho"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float, np.number)) or isinstance(value, bool):
-                raise TypeError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not isinstance(self.stop_on_zero_mce, bool):
-            raise TypeError(f"stop_on_zero_mce must be true or false, got {self.stop_on_zero_mce!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not conforms(value, f.type):
+                raise DomainError(f"{f.name} must be {_KINDS[f.type]}, got {value!r}")
         if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if not 0.0 < self.lr < math.inf:
-            raise ValueError("lr must be positive and finite")
-        if self.batch is not None and self.batch < 1:
-            raise ValueError("batch must be at least 1")
-        if self.lr_decay_epochs < 0 or self.lr_decay_epochs > self.epochs:
-            raise ValueError("lr_decay_epochs must lie in [0, epochs]")
+            raise DomainError("epochs must be at least 1")
+        if self.lr <= 0.0:
+            raise DomainError(f"lr must be positive, got {self.lr!r}")
+        if not 0 <= self.lr_decay_epochs <= self.epochs:
+            raise DomainError("lr_decay_epochs must lie in [0, epochs]")
 
 
 @dataclass
@@ -191,8 +197,7 @@ def _adam_train_stack(params, datasets, config, seeds):
     # mini-batch is a slice
     X_perm = np.empty((len(params), N, d0))
     y_perm = np.empty((len(params), N))
-    batch = config.batch if config.batch is not None else max(1, min(N // 2, d1 // 2))
-    batch = min(batch, N)
+    batch = max(1, min(N // 2, d1 // 2))      # at most N, since N >= 1
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
     opt = Adam(theta.shape)

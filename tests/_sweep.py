@@ -68,7 +68,8 @@ def _plant(kind, X, y, rng):
     groups = partition_positive(y, d0)
     group = groups[rng.integers(len(groups))]
     if kind == "scaled":
-        X[:, group] *= 10.0 ** (rng.uniform(-16, -11) if rng.random() < 0.5 else rng.uniform(11, 15))
+        exponent = rng.uniform(-16, -11) if rng.random() < 0.5 else rng.uniform(11, 15)
+        X[:, group] *= 10.0 ** exponent
         return
     negatives = np.flatnonzero(y == 0.0)
     if not len(negatives):

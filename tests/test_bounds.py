@@ -205,6 +205,12 @@ class TestGlobalVolumeLowerBound:
         log_value = global_volume_log_lower_bound(1000, 1000, 1e-6)
         assert math.isfinite(log_value)
 
+    @pytest.mark.parametrize("d1_star", [0, -1])
+    def test_d1_star_below_one_is_a_domain_error(self, d1_star):
+        # at d1_star = -1 the product bound would read pi, above any volume
+        with pytest.raises(DomainError, match="d1_star"):
+            global_volume_lower_bound(2, d1_star, 0.5)
+
 
 class TestDeltaProbability:
     def test_hand_value(self):

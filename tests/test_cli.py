@@ -8,10 +8,20 @@ import numpy as np
 import pytest
 
 from landscape import errors
-from landscape.cli import RunRecord, load_dataset_csv, main, write_dataset_csv
+from landscape.cli import RunRecord, load_dataset_csv, main
 from landscape.errors import DatasetFormatError
 from landscape.network import Dataset
 from landscape.train import gen_gaussian_dataset
+
+
+def write_dataset_csv(path, data):
+    """Write data in the dataset format that load_dataset_csv reads, floats as repr."""
+    lines = [f"d0={data.d0},N={data.n_samples}"]
+    for x, label in zip(data.X.T, data.y):
+        lines.append(",".join([repr(float(v)) for v in x] + [str(int(label))]))
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+
 
 # Outputs objects recorded with the if/elif dispatcher these handlers replaced;
 # the volume entries are recorded under the per-block Monte Carlo streams.
@@ -566,6 +576,16 @@ class TestBoundsCommands:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{sys.get_int_max_str_digits()} decimal digits" in err
+
+
+    @pytest.mark.parametrize("d1star", ["0", "-1"])
+    def test_global_lower_d1star_below_one_exits_one_without_artifact(self, tmp_path, capsys,
+                                                                      d1star):
+        out = tmp_path / "never.json"
+        assert run_cli("bounds", "global-lower", "--d0", "2", "--d1star", d1star,
+                       "--sin-alpha", "0.5", "--out", str(out)) == 1
+        assert not out.exists()
+        assert "d1_star must be at least 1" in capsys.readouterr().err
 
 
 class TestPinnedKindOutputs:

@@ -186,6 +186,21 @@ class TestBuildGlobalMinimum:
         np.testing.assert_array_equal(a.params.W, b.params.W)
         np.testing.assert_array_equal(a.params.z, b.params.z)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e250])
+    def test_huge_outside_sample_builds(self, scale):
+        # the sum of squares of sample 0 overflows, but its degenerate-hit
+        # floor stays finite.  At rho = 0 sample 0 sits on the negative side
+        # of every built row, so its hidden outputs are exact zeros
+        X = np.random.default_rng(1).standard_normal((3, 6))
+        X[:, 0] *= scale
+        y = np.zeros(6)
+        y[1] = 1.0
+        data = Dataset(X=X, y=y)
+        built = build_global_minimum(data, rho=0.0, seed=0)
+        assert mce(built.params, data) == 0.0
+        assert built.min_neural_input > 0.0
+
 
 def _two_positives_and(outside):
     """Samples 0 and 1 positive in R^4, column 5 replaced by outside(X, null-space basis)."""
@@ -445,6 +460,17 @@ class TestAngularMargin:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             angular_margin(np.array([[0.0], [0.0]]), np.array([[1.0, 0.0]]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_column_keeps_its_angle(self):
+        # the angle of a column does not depend on its length, even past the
+        # length whose sum of squares overflows
+        X = np.random.default_rng(5).standard_normal((3, 4))
+        W = np.random.default_rng(6).standard_normal((2, 3))
+        huge = X.copy()
+        huge[:, 2] *= 1e200
+        np.testing.assert_allclose(angular_margin(huge, W).sin_alpha,
+                                   angular_margin(X, W).sin_alpha, rtol=1e-14)
 
     def test_certificate_type(self):
         cert = angular_margin(np.eye(2), np.eye(2))

@@ -5,11 +5,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from landscape.errors import DomainError, NonFinite
+from landscape.errors import (
+    BadLeak,
+    DomainError,
+    InstanceTooLarge,
+    NonFinite,
+    ShapeMismatch,
+    TargetTooSmall,
+)
 from landscape.network import Dataset, NetParams, backward, evaluate
 from landscape.stationarity import dlm_condition
 from landscape.train import (
     Adam,
+    Seed,
     TrainConfig,
     _adam_train_stack,
     adam_train,
@@ -85,7 +93,7 @@ class TestAdamTrain:
 
     def test_zero_gradient_start_leaves_params_unchanged(self):
         params, data = self._exact_fit()
-        config = TrainConfig(epochs=20, batch=1, seed=0, stop_on_zero_mce=False)
+        config = TrainConfig(epochs=20, seed=0, stop_on_zero_mce=False)
         trained, result = adam_train(params, data, config)
         np.testing.assert_array_equal(trained.W, params.W)
         np.testing.assert_array_equal(trained.z, params.z)
@@ -179,7 +187,7 @@ class TestStackedTraining:
             self._assert_same(stacked[k], alone)
 
     def test_decay_phase_without_early_stop(self):
-        config = TrainConfig(epochs=60, lr=0.02, lr_decay_epochs=30, rho=0.0, batch=4,
+        config = TrainConfig(epochs=60, lr=0.02, lr_decay_epochs=30, rho=0.0,
                              stop_on_zero_mce=False)
         params, datasets, seeds = self._members(range(3), rho=0.0)
         stacked = _adam_train_stack(params, datasets, config, seeds)
@@ -340,6 +348,47 @@ def test_argument_domain_checks_raise_domain_error(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Dataset(X=np.zeros((2, 0)), y=np.zeros(0)), "at least one sample",
+                 id="dataset-empty"),
+    pytest.param(lambda: Dataset(X=np.zeros((2, 2)), y=[0.0, 2.0]), "0 or 1", id="dataset-label"),
+    pytest.param(lambda: Dataset(X=[[0.0, math.nan]], y=[0.0, 1.0]), "non-finite",
+                 id="dataset-nan"),
+    pytest.param(lambda: NetParams(W=[[math.inf]], z=[1.0], rho=0.0), "non-finite",
+                 id="params-inf-w"),
+    pytest.param(lambda: NetParams(W=[[1.0]], z=[math.nan], rho=0.0), "non-finite",
+                 id="params-nan-z"),
+    pytest.param(lambda: Seed(-1), "seed", id="seed-negative"),
+    pytest.param(lambda: TrainConfig(seed=-1), "seed", id="config-seed-negative"),
+    pytest.param(lambda: TrainConfig(seed="3"), "seed", id="config-seed-string"),
+    pytest.param(lambda: TrainConfig(epochs=1.5), "epochs", id="config-epochs-float"),
+    pytest.param(lambda: TrainConfig(epochs=0), "epochs", id="config-epochs-0"),
+    pytest.param(lambda: TrainConfig(lr=0.0), "lr", id="config-lr-0"),
+    pytest.param(lambda: TrainConfig(lr=math.nan), "lr", id="config-lr-nan"),
+    pytest.param(lambda: TrainConfig(rho=math.inf), "rho", id="config-rho-inf"),
+    pytest.param(lambda: TrainConfig(rho=True), "rho", id="config-rho-bool"),
+    pytest.param(lambda: TrainConfig(lr_decay_epochs=True), "lr_decay_epochs",
+                 id="config-decay-bool"),
+    pytest.param(lambda: TrainConfig(epochs=10, lr_decay_epochs=11), "lr_decay_epochs",
+                 id="config-decay-past-epochs"),
+    pytest.param(lambda: TrainConfig(stop_on_zero_mce="yes"), "stop_on_zero_mce",
+                 id="config-stop-string"),
+])
+def test_caller_fault_rules_raise_domain_error(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("error", [BadLeak, ShapeMismatch, InstanceTooLarge, TargetTooSmall])
+def test_caller_fault_errors_are_domain_errors(error):
+    assert issubclass(error, DomainError)
+
+
+def test_config_takes_numpy_scalars():
+    config = TrainConfig(epochs=np.int64(3), lr=np.float32(0.5), seed=np.uint8(2), rho=np.int32(0))
+    assert (config.epochs, config.seed) == (3, 2)
+
+
 class TestDeriveSeed:
     def test_stable_and_distinct(self):
         assert derive_seed(7, "scan", 1, 0) == derive_seed(7, "scan", 1, 0)
@@ -378,12 +427,12 @@ class TestTrainConfigValidation:
             TrainConfig(lr=lr)
 
     @pytest.mark.parametrize("field, value, error", [
-        ("seed", "3", TypeError),
-        ("epochs", 1.5, TypeError),
+        ("seed", "3", DomainError),
+        ("epochs", 1.5, DomainError),
         ("batch", 2.5, TypeError),
-        ("lr_decay_epochs", True, TypeError),
+        ("lr_decay_epochs", True, DomainError),
         ("beta1", "0.9", TypeError),
-        ("stop_on_zero_mce", "yes", TypeError),
+        ("stop_on_zero_mce", "yes", DomainError),
         ("rho", math.inf, ValueError),
     ])
     def test_field_types(self, field, value, error):
