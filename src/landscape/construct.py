@@ -56,7 +56,7 @@ class MarginCertificate:
 
 
 def _column_norms(X):
-    """np.linalg.norm(X, axis=0); a column whose sum of squares overflows is scaled first."""
+    """np.linalg.norm(X, axis=0), a column whose sum of squares overflows scaled by max |x|."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(X, axis=0)
     big = ~np.isfinite(norms)

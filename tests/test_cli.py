@@ -577,7 +577,6 @@ class TestBoundsCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{sys.get_int_max_str_digits()} decimal digits" in err
 
-
     @pytest.mark.parametrize("d1star", ["0", "-1"])
     def test_global_lower_d1star_below_one_exits_one_without_artifact(self, tmp_path, capsys,
                                                                       d1star):
