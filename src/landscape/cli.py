@@ -25,14 +25,7 @@ from . import bounds as bounds_mod
 from . import construct as construct_mod
 from . import train as train_mod
 from . import volume as volume_mod
-from .errors import (
-    ConfigError,
-    DatasetFormatError,
-    DomainError,
-    LandscapeError,
-    NumericalError,
-    UsageError,
-)
+from .errors import DatasetFormatError, DomainError, LandscapeError, NumericalError
 from .linalg import numerical_rank
 from .network import (
     Dataset, activation_slopes, check_leak, khatri_rao, mean_square, misclassified,
@@ -41,7 +34,7 @@ from .stationarity import rank_condition_oracle
 from .train import Seed, conforms
 
 EXIT_OK = 0
-EXIT_USAGE = 1        # every LandscapeError that is not a NumericalError, I/O, ValueError
+EXIT_USAGE = 1        # DomainError and every other caller fault: I/O, ValueError, OverflowError
 EXIT_NUMERICAL = 2    # NumericalError and numpy LinAlgError
 
 
@@ -135,27 +128,20 @@ def _call(handler, values, context):
     default must be present; each annotated value must conform (train.conforms).
     """
     if not isinstance(values, dict):
-        raise ConfigError(f"{context} must be a JSON object, got {values!r}")
+        raise DomainError(f"{context} must be a JSON object, got {values!r}")
     params = inspect.signature(handler).parameters
     named = {k: p for k, p in params.items() if p.kind is not p.VAR_KEYWORD}
     extra = _TRAIN_KEYS if len(named) < len(params) else set()   # handler takes **config
     for key in values:
         if key not in named and key not in extra:
-            raise ConfigError(f"unknown config key '{key}' in {context}")
+            raise DomainError(f"unknown config key '{key}' in {context}")
     for name, param in named.items():
         value = values.get(name, param.default)
         if value is param.empty:
-            raise ConfigError(f"{context} needs key '{name}'")
+            raise DomainError(f"{context} needs key '{name}'")
         if name in values and not conforms(value, param.annotation):
-            raise ConfigError(f"invalid value for config key '{name}' in {context}: {value!r}")
+            raise DomainError(f"invalid value for config key '{name}' in {context}: {value!r}")
     return handler(**values)
-
-
-def _train_config(config, **defaults):
-    try:
-        return train_mod.TrainConfig(**{**defaults, **config})
-    except DomainError as exc:
-        raise ConfigError(f"invalid training configuration: {exc}") from None
 
 
 def _csv_text(columns, rows):
@@ -179,11 +165,11 @@ def construct(*, data: str = None, d0: int = None, n: int = None, data_seed: See
               rho: float = 0.0, target_d1: int = None, seed: Seed = 0):
     if data is not None:
         if d0 is not None or n is not None:
-            raise UsageError("--data and --d0/--n are mutually exclusive")
+            raise DomainError("--data and --d0/--n are mutually exclusive")
         dataset = _csv_dataset(path=data)
     else:
         if d0 is None or n is None:
-            raise UsageError("construct needs --data or both --d0 and --n")
+            raise DomainError("construct needs --data or both --d0 and --n")
         dataset = _gaussian_dataset(d0=d0, n=n, seed=data_seed)
     built = construct_mod.build_global_minimum(dataset, rho=rho, target_d1=target_d1, seed=seed)
     outputs = {
@@ -211,7 +197,7 @@ def train(*, dataset: dict, d1: int = None, **config):
     spec = inspect.signature(source).bind(**dataset)
     spec.apply_defaults()
     d1 = data.d0 if d1 is None else d1
-    config = _train_config(config)
+    config = train_mod.TrainConfig(**config)
     init_seed = train_mod.derive_seed(config.seed, "init", 0)
     params = train_mod.he_init(d1, data.d0, init_seed, rho=config.rho)
     _, result = train_mod.adam_train(params, data, config)
@@ -226,13 +212,13 @@ def train(*, dataset: dict, d1: int = None, **config):
 
 
 def scan(*, d_values: [int], n_factors: [float], seeds: int, **config):
-    rows = train_mod.scan_overparam(d_values, n_factors, seeds, _train_config(config))
+    rows = train_mod.scan_overparam(d_values, n_factors, seeds, train_mod.TrainConfig(**config))
     return {"rows": rows}, _csv_text(("d", "N", "params_over_N", "mce_mean", "mce_std"), rows), {}
 
 
 def diagnostic(*, d: int, seeds: int, **config):
-    config = _train_config(config, epochs=2000, lr_decay_epochs=1000, stop_on_zero_mce=False)
-    rows = train_mod.dlm_diagnostic(d, seeds, config)
+    defaults = {"epochs": 2000, "lr_decay_epochs": 1000, "stop_on_zero_mce": False}
+    rows = train_mod.dlm_diagnostic(d, seeds, train_mod.TrainConfig(**{**defaults, **config}))
     return {"rows": rows}, _csv_text(("seed_index", "min_neural_input", "final_mse"), rows), {}
 
 
@@ -243,7 +229,7 @@ def cmd_config(args):
         with open(args.config) as handle:
             raw = json.load(handle)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+        raise DomainError(f"config is not valid JSON: {exc}") from None
     outputs, csv_text, filled = _call(args.handler, raw, f"{args.command} config")
     record = RunRecord(args.command, dict(raw, **filled), raw.get("seed", 0), outputs=outputs)
     return record, csv_text
@@ -372,7 +358,7 @@ def bounds_beta(*, d0: int, which: ("lower", "upper"), angle: float = None, u: f
     value = angle if which == "lower" else u
     if value is None:
         flag = "--angle (radians)" if which == "lower" else "--u"
-        raise UsageError(f"bounds beta --which {which} needs {flag}")
+        raise DomainError(f"bounds beta --which {which} needs {flag}")
     return {"bound": bounds_mod.beta_angle_bounds(d0, value, which)}
 
 
@@ -417,7 +403,7 @@ BOUNDS = {
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise DomainError(message)
 
 
 def _kind_parser(sub, name, handler, **kwargs):
@@ -483,7 +469,7 @@ def main(argv=None):
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (LandscapeError, OSError, ValueError) as exc:
+    except (LandscapeError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -208,7 +208,9 @@ def build_global_minimum(data, rho, target_d1=None, seed=None):
     yhat, min_neural_input = np.zeros(data.n_samples), None
     if rows.shape[0]:
         P, _, _, yhat = evaluate(rows, z, rho, data.X)
-        if mean_square(yhat - data.y) > 1e-18:
+        with np.errstate(over="ignore"):      # an overflowing residual is over budget too
+            mse = mean_square(yhat - data.y)
+        if mse > 1e-18:
             raise DegenerateData(
                 "built network exceeds the 1e-18 squared-error budget; "
                 "X is near-degenerate at double precision, perturb it infinitesimally"

@@ -45,13 +45,5 @@ class NonFinite(NumericalError):
         super().__init__(message or f"loss became non-finite at epoch {epoch}")
 
 
-class DatasetFormatError(LandscapeError):
+class DatasetFormatError(DomainError):
     """Dataset file violates the CSV format contract, labels in {0, 1} included."""
-
-
-class ConfigError(LandscapeError):
-    """Run configuration is missing or carries unknown/invalid keys."""
-
-
-class UsageError(LandscapeError):
-    """Command line invocation error."""

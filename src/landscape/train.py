@@ -12,7 +12,7 @@ and records the smallest |pre-activation| at the end.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -83,11 +83,20 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    final_mse: float
-    final_mce: float
     min_neural_input: float
-    epochs_run: int
-    history: list = field(default_factory=list)   # (mse, mce) per epoch
+    history: list           # (mse, mce) per epoch
+
+    @property
+    def final_mse(self):
+        return self.history[-1][0]
+
+    @property
+    def final_mce(self):
+        return self.history[-1][1]
+
+    @property
+    def epochs_run(self):
+        return len(self.history)
 
 
 class Adam:
@@ -240,13 +249,7 @@ def _adam_train_stack(params, datasets, config, seeds):
             if (config.stop_on_zero_mce and epoch_mce == 0.0) or epoch + 1 == config.epochs:
                 results[k] = (
                     NetParams(W=W[row].copy(), z=z[row].copy(), rho=rho),
-                    TrainResult(
-                        final_mse=epoch_mse,
-                        final_mce=epoch_mce,
-                        min_neural_input=float(np.min(np.abs(P))),
-                        epochs_run=epoch + 1,
-                        history=histories[k],
-                    ),
+                    TrainResult(float(np.min(np.abs(P))), histories[k]),
                 )
             else:
                 stay.append(row)

@@ -132,21 +132,15 @@ def wilson_interval(hits, trials):
 
 
 def resolve_workers(workers=None):
-    """Worker count: the explicit argument if given, else the cpu count."""
-    if workers is not None:
-        return max(1, int(workers))
-    return os.cpu_count() or 1
+    """Worker count: the explicit argument if given, else the CPU count, and never above it."""
+    cpus = os.cpu_count() or 1
+    return cpus if workers is None else max(1, min(int(workers), cpus))
 
 
 def block_rng(seed, block):
     """Independent generator for one block of trials, keyed by (seed, block index)."""
     key = np.array([seed & _MASK64, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _pool_size(workers, blocks, cpus):
-    """Threads for a count: no more than asked for, than CPUs or than blocks."""
-    return max(1, min(workers, cpus or 1, blocks))
 
 
 def _count_hits(event, shape, trials, seed, workers):
@@ -162,7 +156,7 @@ def _count_hits(event, shape, trials, seed, workers):
             hits += int(np.count_nonzero(event(block_rng(seed, b).standard_normal((n, *shape)))))
         return hits
 
-    workers = _pool_size(resolve_workers(workers), blocks, os.cpu_count())
+    workers = min(resolve_workers(workers), blocks)
     # Threads pay only when one trial outgrows a block: a block of light
     # trials is a few short numpy calls that two threads cannot overlap
     # under the GIL (0.7-1.1x on 2 cores, against 1.1-1.6x from 10^4 values

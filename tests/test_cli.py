@@ -101,6 +101,8 @@ PINNED_KIND_OUTPUTS = [
 ]
 
 
+BIG = "9" * 401      # a count too large for a float
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -356,6 +358,8 @@ class TestExitCodes:
         expected = 2 if issubclass(cls, errors.NumericalError) else 1
         assert run_cli("bounds", "theta-star") == expected
         assert capsys.readouterr().err.startswith("error: ")
+        if cls is not errors.LandscapeError:
+            assert issubclass(cls, (errors.DomainError, errors.NumericalError))
 
     @pytest.mark.parametrize("argv", [
         pytest.param("volume orthant --n 0 --m 1 --l 1 --trials 10 --seed 1",
@@ -381,6 +385,18 @@ class TestExitCodes:
                      id="volume-seed-negative"),
         pytest.param("volume angular --d0 3 --d1 2 --n 4 --pattern-seed -1 --trials 10 --seed 1",
                      id="volume-pattern-seed-negative"),
+        # a count too large for a float
+        pytest.param(f"bounds suboptimal --n {BIG} --d0 3 --d1 3 --epsilon 0.1 --rho 0",
+                     id="suboptimal-n-huge"),
+        pytest.param(f"bounds ratio --n {BIG} --d0 3 --d1 3 --epsilon 0.1 --rho 0",
+                     id="ratio-n-huge"),
+        pytest.param(f"bounds delta --d0 3 --n {BIG}", id="delta-n-huge"),
+        pytest.param(f"bounds coherence-tail --m {BIG} --n 3 --eps 0.5",
+                     id="coherence-tail-m-huge"),
+        pytest.param(f"bounds orthant --n 4 --m {BIG} --l 3", id="orthant-m-huge"),
+        pytest.param(f"bounds global-lower --d0 {BIG} --d1star 2 --sin-alpha 0.5",
+                     id="global-lower-d0-huge"),
+        pytest.param(f"bounds beta --d0 {BIG} --which upper --u 0.2", id="beta-d0-huge"),
     ])
     def test_bad_flags_exit_one_without_artifact(self, tmp_path, capsys, argv):
         out = tmp_path / "never.json"
@@ -491,6 +507,10 @@ class TestExitCodes:
                      id="diagnostic-seed-negative"),
         pytest.param("diagnostic", '{"d": 4, "seeds": 0, "epochs": 4, "lr_decay_epochs": 2}',
                      id="diagnostic-seeds-0"),
+        pytest.param("scan", f'{{"d_values": [{BIG}], "n_factors": [1.0], "seeds": 1, '
+                     '"epochs": 1}', id="scan-d-huge"),
+        pytest.param("scan", '{"d_values": [2], "n_factors": [1e308], "seeds": 1, "epochs": 1}',
+                     id="scan-factor-huge"),
     ])
     def test_bad_config_exits_one_without_artifact(self, tmp_path, capsys, command, config):
         path = tmp_path / "c.json"

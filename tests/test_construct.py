@@ -201,6 +201,21 @@ class TestBuildGlobalMinimum:
         assert mce(built.params, data) == 0.0
         assert built.min_neural_input > 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    @pytest.mark.parametrize("rho, seeds", [(0.0, [0, 2, 3, 6, 7]), (0.1, range(8))],
+                             ids=["rho0", "rho0.1"])
+    def test_huge_residual_is_over_budget_without_a_warning(self, scale, rho, seeds):
+        # sample 0's hidden outputs cancel only up to rounding, so its
+        # residual squared overflows; an infinite MSE is over budget
+        for seed in seeds:
+            X = np.random.default_rng(seed).standard_normal((3, 6))
+            X[:, 0] *= scale
+            y = np.zeros(6)
+            y[1] = 1.0
+            with pytest.raises(DegenerateData, match="squared-error budget"):
+                build_global_minimum(Dataset(X=X, y=y), rho=rho, seed=0)
+
 
 def _two_positives_and(outside):
     """Samples 0 and 1 positive in R^4, column 5 replaced by outside(X, null-space basis)."""

@@ -1,5 +1,4 @@
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -415,13 +414,31 @@ def test_pool_runs_only_for_large_draws(monkeypatch):
     assert pools == [3]
 
 
-def test_pool_size_clamps_to_cpus_and_blocks():
-    from landscape.volume import _pool_size
+def test_pool_size_clamps_to_cpus_and_blocks(monkeypatch):
+    pools = []
 
-    assert _pool_size(100_000, 400_000, 2) == 2
-    assert _pool_size(100_000, 3, 64) == 3
-    assert _pool_size(4, 16, 64) == 4
-    assert _pool_size(8, 32, None) == 1
+    class Recording:          # records the pool size and runs no block
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *spans):
+            return [0]
+
+    monkeypatch.setattr(volume, "ThreadPoolExecutor", Recording)
+    no_hit = lambda W: np.zeros(len(W), dtype=bool)
+    shape = (volume._BLOCK_VALUES + 1,)      # one trial per block
+    for workers, blocks, cpus, threads in [(100_000, 400_000, 2, 2), (100_000, 3, 64, 3),
+                                           (4, 16, 64, 4), (8, 32, None, 1)]:
+        monkeypatch.setattr(volume.os, "cpu_count", lambda: cpus)
+        pools.clear()
+        assert volume._count_hits(no_hit, shape, blocks, 1, workers) == 0
+        assert pools == ([threads] if threads > 1 else [])
 
 
 class TestEmptyShapes:
@@ -453,9 +470,11 @@ class TestEmptyShapes:
             call()
 
 
-def test_resolve_workers():
+def test_resolve_workers(monkeypatch):
     from landscape.volume import resolve_workers
 
+    monkeypatch.setattr(volume.os, "cpu_count", lambda: 8)
     assert resolve_workers(5) == 5
     assert resolve_workers(0) == 1
-    assert resolve_workers() == (os.cpu_count() or 1)
+    assert resolve_workers() == 8
+    assert resolve_workers(10**9) == 8
