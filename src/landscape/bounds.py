@@ -9,7 +9,7 @@ lgamma, which are accurate to a few ulps.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require_at_least
 from .network import check_leak
 
 _SQRT2 = math.sqrt(2.0)
@@ -46,8 +46,7 @@ class BoundInputs:
     lim_ratio: float = 0.0
 
     def __post_init__(self):
-        if min(self.N, self.d0, self.d1) < 1:
-            raise DomainError("counts must be at least 1")
+        require_at_least(1, N=self.N, d0=self.d0, d1=self.d1)
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError("epsilon must lie in (0, 1)")
         if not 0.0 <= self.lim_ratio < math.inf:
@@ -165,10 +164,8 @@ def suboptimal_volume_bound(inputs):
 
 def global_volume_log_lower_bound(d0, d1_star, sin_alpha):
     """Log of [2 sin(alpha)^(d0-1) / ((d0-1) B(1/2, (d0-1)/2))]^d1_star."""
-    if d0 < 2:
-        raise DomainError("d0 must be at least 2")
-    if d1_star < 1:
-        raise DomainError(f"d1_star must be at least 1, got {d1_star}")
+    require_at_least(2, d0=d0)
+    require_at_least(1, d1_star=d1_star)
     if not 0.0 < sin_alpha <= 1.0:
         raise DomainError("sin_alpha must lie in (0, 1]")
     return d1_star * _log_cap(d0, sin_alpha)
@@ -183,8 +180,8 @@ def global_volume_lower_bound(d0, d1_star, sin_alpha):
 
 def delta_probability(d0, N):
     """Failure probability sqrt(8/pi) d0^(-1/2) + 2 d0^(1/2) sqrt(log d0) / N."""
-    if d0 < 2 or N < 1:
-        raise DomainError("need d0 >= 2 and N >= 1")
+    require_at_least(2, d0=d0)
+    require_at_least(1, N=N)
     return math.sqrt(8.0 / math.pi) / math.sqrt(d0) + 2.0 * math.sqrt(d0) * math.sqrt(math.log(d0)) / N
 
 
@@ -197,8 +194,7 @@ def ratio_bound(inputs):
 
 def dichotomy_count_bound(N, d0):
     """(schlafli, loose): 2 sum_{k<d0} C(N-1, k) exactly, and 2 N^d0 as a float or inf."""
-    if N < 1 or d0 < 1:
-        raise DomainError("need N >= 1 and d0 >= 1")
+    require_at_least(1, N=N, d0=d0)
     if d0 >= N:
         schlafli = 2 ** N       # every sign vector
     else:
@@ -220,8 +216,8 @@ def coherence_tail_bound(M, N, eps):
     Coherence compares distinct columns, so it needs M >= 1 rows and
     N >= 2 columns.
     """
-    if M < 1 or N < 2:
-        raise DomainError(f"need M >= 1 and N >= 2, got M = {M}, N = {N}")
+    require_at_least(1, M=M)
+    require_at_least(2, N=N)
     if not 0.0 < eps <= 1.0:
         raise DomainError("eps must lie in (0, 1]")
     log_value = math.log(2.0) + 2.0 * math.log(N) - M * eps * eps / 24.0
@@ -237,8 +233,7 @@ def orthant_probability_log_bound(N, M, L):
         If N, M or L is below 1, or alpha = M L / N is not above 1
         (outside the bound's regime).
     """
-    if min(N, M, L) < 1:
-        raise DomainError("N, M and L must be at least 1")
+    require_at_least(1, N=N, M=M, L=L)
     alpha = M * L / N
     if alpha <= 1.0:
         raise DomainError(f"alpha = M*L/N = {alpha:g} must exceed 1")
@@ -253,8 +248,7 @@ def beta_angle_bounds(d0, value, which):
     which = "upper": 2 value / B(1/2, (d0-1)/2) upper bounds
     P(|cos| < value) for value in (0, 1].  Both are clamped to [0, 1].
     """
-    if d0 < 2:
-        raise DomainError("d0 must be at least 2")
+    require_at_least(2, d0=d0)
     if which == "lower":
         if not 0.0 < value <= math.pi / 2.0:
             raise DomainError("angle must lie in (0, pi/2]")

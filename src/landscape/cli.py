@@ -34,7 +34,7 @@ from .stationarity import rank_condition_oracle
 from .train import Seed, conforms
 
 EXIT_OK = 0
-EXIT_USAGE = 1        # DomainError and every other caller fault: I/O, ValueError, OverflowError
+EXIT_USAGE = 1        # caller faults: DomainError, I/O, ValueError, OverflowError, MemoryError
 EXIT_NUMERICAL = 2    # NumericalError and numpy LinAlgError
 
 
@@ -469,7 +469,7 @@ def main(argv=None):
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (LandscapeError, OSError, ValueError, OverflowError) as exc:
+    except (LandscapeError, OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateData, DomainError, TargetTooSmall, ZeroVector
+from .errors import DegenerateData, DomainError, TargetTooSmall, ZeroVector, require_at_least
 from .linalg import canonical_sign, check_bordered, check_rank, nullspace_solve
 from .network import NetParams, check_leak, evaluate, mean_square
 
@@ -68,8 +68,7 @@ def _column_norms(X):
 
 def partition_positive(y, d0):
     """Split the positive-label index set into runs of at most d0 - 1 samples."""
-    if d0 < 2:
-        raise DomainError(f"construction needs d0 >= 2, got d0 = {d0}")
+    require_at_least(2, d0=d0)
     positives = [int(n) for n in np.flatnonzero(np.asarray(y) == 1.0)]
     width = d0 - 1
     return [positives[i:i + width] for i in range(0, len(positives), width)]

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one minimum-count rule."""
 
 
 class LandscapeError(Exception):
@@ -47,3 +47,10 @@ class NonFinite(NumericalError):
 
 class DatasetFormatError(DomainError):
     """Dataset file violates the CSV format contract, labels in {0, 1} included."""
+
+
+def require_at_least(low, **counts):
+    """Reject the first count below low, by name, before any draw, SVD or training step."""
+    for name, value in counts.items():
+        if value < low:
+            raise DomainError(f"{name} must be at least {low}, got {value}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLeak, DomainError, ShapeMismatch
+from .errors import BadLeak, DomainError, ShapeMismatch, require_at_least
 
 
 def check_leak(rho):
@@ -61,8 +61,7 @@ class Dataset:
         self.y = np.asarray(self.y, dtype=float)
         if self.X.ndim != 2 or self.y.ndim != 1 or self.X.shape[1] != self.y.shape[0]:
             raise ShapeMismatch("X must be (d0, N) and y (N,)")
-        if self.y.shape[0] < 1:
-            raise DomainError("dataset needs at least one sample")
+        require_at_least(1, N=self.y.shape[0])
         if not np.all((self.y == 0.0) | (self.y == 1.0)):
             raise DomainError("labels must be exactly 0 or 1")
         if not np.all(np.isfinite(self.X)):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InstanceTooLarge
+from .errors import InstanceTooLarge, require_at_least
 from .linalg import numerical_rank
 from .network import backward, evaluate
 
@@ -66,9 +66,8 @@ def rank_condition_oracle(A, X):
     """
     A = np.asarray(A, dtype=float)
     X = np.asarray(X, dtype=float)
-    if min(A.shape + X.shape) < 1:
-        raise DomainError(f"d1, d0 and N must be at least 1, got A {A.shape} and X {X.shape}")
-    N = A.shape[1]
+    (d1, N), (d0, X_columns) = A.shape, X.shape
+    require_at_least(1, d1=d1, N=N, d0=d0, X_columns=X_columns)
     if N > MAX_ORACLE_SAMPLES:
         raise InstanceTooLarge(f"rank oracle capped at N = {MAX_ORACLE_SAMPLES}")
     home = [None] * N   # index of the part holding each column
@@ -77,7 +76,7 @@ def rank_condition_oracle(A, X):
         return numerical_rank(A[:, cols]) == len(cols)
 
     for s in range(N):
-        parts = [[c for c in range(s) if home[c] == j] for j in range(X.shape[0])]
+        parts = [[c for c in range(s) if home[c] == j] for j in range(d0)]
         came_from, queue = {s: None}, deque([s])
         while queue:
             x = queue.popleft()

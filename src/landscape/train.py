@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DomainError, NonFinite
+from .errors import DomainError, NonFinite, require_at_least
 from .network import Dataset, NetParams, backward, evaluate, mean_square, misclassified
 
 # Learning-rate shrink factor applied across the whole decay phase.
@@ -53,7 +53,10 @@ def conforms(value, kind):
                 and (kind is int or value >= 0))
     if kind is float:
         number = conforms(value, int) or isinstance(value, (float, np.floating))
-        return number and math.isfinite(value)
+        try:
+            return number and math.isfinite(value)
+        except OverflowError:   # an integer too large for any double
+            return False
     if kind in (bool, str):
         return isinstance(value, kind)
     return True
@@ -73,8 +76,7 @@ class TrainConfig:
             value = getattr(self, f.name)
             if not conforms(value, f.type):
                 raise DomainError(f"{f.name} must be {_KINDS[f.type]}, got {value!r}")
-        if self.epochs < 1:
-            raise DomainError("epochs must be at least 1")
+        require_at_least(1, epochs=self.epochs)
         if self.lr <= 0.0:
             raise DomainError(f"lr must be positive, got {self.lr!r}")
         if not 0 <= self.lr_decay_epochs <= self.epochs:
@@ -131,7 +133,8 @@ _LABEL_ENTROPY = {
 def derive_seed(*parts):
     """Stable child seed from a label-and-index path (top seed first).
 
-    An int enters as its low 32 bits and a label as its fixed entropy word.
+    An integer (numpy's included) enters as its low 32 bits and a label as
+    its fixed entropy word.
 
     Raises
     ------
@@ -141,8 +144,8 @@ def derive_seed(*parts):
     """
     entropy = []
     for p in parts:
-        if isinstance(p, int):
-            entropy.append(p & 0xFFFFFFFF)
+        if isinstance(p, (int, np.integer)):
+            entropy.append(int(p) & 0xFFFFFFFF)
         elif p in _LABEL_ENTROPY:
             entropy.append(_LABEL_ENTROPY[p])
         else:
@@ -160,8 +163,7 @@ def gen_gaussian_dataset(d0, N, seed):
 
 def he_init(d1, d0, seed, rho=0.0):
     """Uniform zero-mean weights with variance 2/fan-in per layer."""
-    if d1 < 1 or d0 < 1:
-        raise DomainError("d1 and d0 must be at least 1")
+    require_at_least(1, d1=d1, d0=d0)
     rng = np.random.default_rng(seed)
     a_w = np.sqrt(6.0 / d0)
     a_z = np.sqrt(6.0 / d1)
@@ -283,8 +285,7 @@ def scan_overparam(d_values, N_factors, seeds, config):
     """
     if not d_values or not N_factors:
         raise DomainError("d_values and N_factors must be nonempty")
-    if seeds < 1:
-        raise DomainError("seeds must be at least 1")
+    require_at_least(1, seeds=seeds)
     if any(d < 1 for d in d_values) or not all(f > 0 for f in N_factors):
         raise DomainError("every d must be at least 1 and every N factor positive")
     rows = []
@@ -309,10 +310,8 @@ def dlm_diagnostic(d, seeds, config):
     Expects a config with a learning-rate decay phase and no early stop,
     so the loss settles before the floor is read off.
     """
-    if d < 4:
-        raise DomainError("d must be at least 4")
-    if seeds < 1:
-        raise DomainError("seeds must be at least 1")
+    require_at_least(4, d=d)
+    require_at_least(1, seeds=seeds)
     N = d * d // 5
     results = _run_cell(d, N, config, (config.seed, "diagnostic"), seeds)
     return [{"seed_index": s, "min_neural_input": result.min_neural_input,

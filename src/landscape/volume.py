@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ZeroVector
+from .errors import DomainError, ZeroVector, require_at_least
 
 _WILSON_Z = 1.959963984540054  # 97.5% standard normal quantile
 
@@ -43,13 +43,6 @@ class MCEstimate:
     ci_low: float
     ci_high: float
     seed: int
-
-
-def _require_positive(**counts):
-    """Reject a zero or negative size before any draw: batched code never sees an empty axis."""
-    for name, value in counts.items():
-        if value < 1:
-            raise DomainError(f"{name} must be at least 1, got {value}")
 
 
 def _sign_region(X, signs, rows):
@@ -80,7 +73,7 @@ class RegionSpec:
     predicate: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        _require_positive(d1=self.d1, d0=self.d0)
+        require_at_least(1, d1=self.d1, d0=self.d0)
 
     @classmethod
     def from_activation_pattern(cls, A, X):
@@ -91,7 +84,7 @@ class RegionSpec:
         """
         A = np.asarray(A, dtype=float)
         X = np.asarray(X, dtype=float)
-        _require_positive(N=X.shape[1])
+        require_at_least(1, N=X.shape[1])
         signs = np.where(A == 1.0, 1.0, -1.0)
         return cls(d1=A.shape[0], d0=X.shape[0], predicate=_sign_region(X, signs, A.shape[0]))
 
@@ -101,7 +94,7 @@ class RegionSpec:
         X = np.asarray(X, dtype=float)
         Wstar = np.asarray(Wstar, dtype=float)
         rows = Wstar.shape[0]
-        _require_positive(rows=rows, N=X.shape[1])
+        require_at_least(1, rows=rows, N=X.shape[1])
         if d1 is None:
             d1 = rows
         if d1 < rows:
@@ -170,7 +163,7 @@ def _count_hits(event, shape, trials, seed, workers):
 
 
 def _estimate(event, shape, trials, seed, workers):
-    _require_positive(trials=trials)
+    require_at_least(1, trials=trials)
     hits = _count_hits(event, shape, trials, seed, workers)
     lo, hi = wilson_interval(hits, trials)
     return MCEstimate(
@@ -201,7 +194,7 @@ def _orthant(C, B):
 
 def estimate_orthant_probability(N, M, L, trials, seed, workers=None):
     """Probability that every entry of a Gaussian product C B is positive."""
-    _require_positive(N=N, M=M, L=L)
+    require_at_least(1, N=N, M=M, L=L)
     split = N * M
 
     def event(Z):
@@ -227,8 +220,8 @@ def coherence(A):
 
 def estimate_coherence_tail(M, N, eps, trials, seed, workers=None):
     """Fraction of Gaussian M x N draws whose column coherence exceeds eps."""
-    if M < 1 or N < 2:
-        raise DomainError(f"need M >= 1 and N >= 2, got M = {M}, N = {N}")
+    require_at_least(1, M=M)
+    require_at_least(2, N=N)
     if not math.isfinite(eps):
         raise DomainError(f"eps must be finite, got {eps}")
 
@@ -247,7 +240,7 @@ def estimate_margin_probability(Wstar, N, sin_alpha, trials, seed, workers=None)
     """Fraction of Gaussian d0 x N draws with angular margin above sin_alpha."""
     Wstar = np.asarray(Wstar, dtype=float)
     rows, d0 = Wstar.shape
-    _require_positive(rows=rows, d0=d0, N=N)
+    require_at_least(1, rows=rows, d0=d0, N=N)
     if not math.isfinite(sin_alpha):
         raise DomainError(f"sin_alpha must be finite, got {sin_alpha}")
     row_norms = np.linalg.norm(Wstar, axis=1)

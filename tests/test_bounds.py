@@ -76,6 +76,11 @@ class TestGFunction:
         for x in np.linspace(0.01, 20.0, 60):
             assert g_inverse(g(x)) == pytest.approx(x, abs=1e-8)
 
+    def test_overflow_is_infinite_and_inverse_stays_finite(self):
+        # g leaves double range near x = 38, where exp(log_g) overflows
+        assert g(40.0) == math.inf
+        assert math.isfinite(g_inverse(1e300))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             g(-0.1)
@@ -305,9 +310,13 @@ class TestCoherenceTailBound:
             for eps in (0.01, 0.5, 1.0):
                 assert 0.0 <= coherence_tail_bound(M, 7, eps) <= 1.0
 
-    @pytest.mark.parametrize("M, N", [(0, 5), (10, 0), (10, 1)])
-    def test_empty_shape_rejected(self, M, N):
-        with pytest.raises(DomainError, match="N >= 2"):
+    @pytest.mark.parametrize("M, N, message", [
+        pytest.param(0, 5, "M must be at least 1, got 0", id="0-5"),
+        pytest.param(10, 0, "N must be at least 2, got 0", id="10-0"),
+        pytest.param(10, 1, "N must be at least 2, got 1", id="10-1"),
+    ])
+    def test_empty_shape_rejected(self, M, N, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
             coherence_tail_bound(M, N, 0.5)
 
 

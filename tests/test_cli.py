@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from landscape import errors
-from landscape.cli import RunRecord, load_dataset_csv, main
+from landscape.cli import RunRecord, load_dataset_csv, main, write_atomic
 from landscape.errors import DatasetFormatError
 from landscape.network import Dataset
 from landscape.train import gen_gaussian_dataset
@@ -159,6 +159,29 @@ class TestDatasetCsv:
         path.write_text(header + "\n")
         with pytest.raises(DatasetFormatError, match="line 1: d0 and N must be non-negative"):
             load_dataset_csv(path)
+
+    def test_empty_file_names_line_1(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("")
+        with pytest.raises(DatasetFormatError, match="^line 1: empty file"):
+            load_dataset_csv(path)
+
+    def test_header_promising_more_rows_names_last_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("d0=2,N=3\n1.0,2.0,1\n")
+        message = "^line 2: header promises N=3 rows, found 1$"
+        with pytest.raises(DatasetFormatError, match=message):
+            load_dataset_csv(path)
+
+
+def test_write_atomic_leaves_no_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        write_atomic(tmp_path / "out.json", "{}")
+    assert os.listdir(tmp_path) == []
 
 
 class TestConstructCommand:
@@ -404,28 +427,29 @@ class TestExitCodes:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("argv", [
+    @pytest.mark.parametrize("argv, message", [
         pytest.param("volume coherence --m 0 --n 3 --eps 0.5 --trials 10 --seed 1",
-                     id="volume-coherence-m0"),
-        pytest.param("bounds coherence-tail --m 10 --n 0 --eps 0.5", id="bounds-coherence-tail-n0"),
+                     "M must be at least 1, got 0", id="volume-coherence-m0"),
+        pytest.param("bounds coherence-tail --m 10 --n 0 --eps 0.5",
+                     "N must be at least 2, got 0", id="bounds-coherence-tail-n0"),
         pytest.param("volume margin --d0 3 --d1star 1 --n 0 --sin-alpha 0.1 --trials 10 --seed 1",
-                     id="volume-margin-n0"),
+                     "N must be at least 1, got 0", id="volume-margin-n0"),
         pytest.param("volume global --d0 3 --d1star 2 --n 0 --trials 10 --seed 1",
-                     id="volume-global-n0"),
+                     "N must be at least 1, got 0", id="volume-global-n0"),
         pytest.param("volume angular --d0 0 --d1 2 --n 4 --trials 10 --seed 1",
-                     id="volume-angular-d0-0"),
+                     "d0 must be at least 1, got 0", id="volume-angular-d0-0"),
         pytest.param("volume angular --d0 3 --d1 2 --n 0 --trials 10 --seed 1",
-                     id="volume-angular-n0"),
+                     "N must be at least 1, got 0", id="volume-angular-n0"),
     ])
-    def test_empty_shape_exits_one_before_any_draw(self, tmp_path, capsys, monkeypatch, argv):
+    def test_empty_shape_exits_one_before_any_draw(self, tmp_path, capsys, monkeypatch, argv,
+                                                   message):
         from landscape import volume
 
         monkeypatch.setattr(volume, "block_rng", None)   # a Monte Carlo draw would raise TypeError
         out = tmp_path / "never.json"
         assert run_cli(*argv.split(), "--out", str(out)) == 1
         assert not out.exists()
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and ("at least 1" in err or "N >= 2" in err), err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_global_d0_below_two_exits_one_before_any_draw(self, tmp_path, capsys, monkeypatch):
         from landscape import volume
@@ -519,6 +543,37 @@ class TestExitCodes:
         assert run_cli(command, "--config", str(path), "--out", str(out)) == 1
         assert not (tmp_path / "never.json").exists() and not (tmp_path / "never.csv").exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_config_that_is_not_json_exits_one_without_artifact(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"dataset": ')
+        assert run_cli("train", "--config", str(path), "--out", str(tmp_path / "never")) == 1
+        assert os.listdir(tmp_path) == ["c.json"]
+        assert capsys.readouterr().err.startswith("error: config is not valid JSON: ")
+
+    @pytest.mark.parametrize("command, config, key", [
+        pytest.param("train", f'{{"dataset": {{"d0": 3, "n": 4}}, "epochs": 1, "lr": {BIG}}}',
+                     "lr", id="train-lr-huge"),
+        pytest.param("scan", f'{{"d_values": [4], "n_factors": [{BIG}], "seeds": 1, '
+                     '"epochs": 1}', "n_factors", id="scan-factor-huge-int"),
+    ])
+    def test_number_past_double_range_names_its_key(self, tmp_path, capsys, command, config,
+                                                    key):
+        path = tmp_path / "c.json"
+        path.write_text(config)
+        assert run_cli(command, "--config", str(path), "--out", str(tmp_path / "never")) == 1
+        assert os.listdir(tmp_path) == ["c.json"]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and "Traceback" not in err, err
+
+    def test_allocation_past_memory_exits_one_without_artifact(self, tmp_path, capsys):
+        # d0 = 1e5 and N = 1e10 ask for 7.11 PiB: the allocation fails at once
+        path = tmp_path / "c.json"
+        path.write_text('{"d_values": [100000], "n_factors": [1], "seeds": 1, "epochs": 1}')
+        assert run_cli("scan", "--config", str(path), "--out", str(tmp_path / "never")) == 1
+        assert os.listdir(tmp_path) == ["c.json"]
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and "Traceback" not in err, err
 
     @pytest.mark.parametrize("command", ["train", "scan", "diagnostic"])
     @pytest.mark.parametrize("config", ["3", "null", "[1]", '"x"', "true"])

@@ -42,13 +42,13 @@ class TestPartitionPositive:
         assert partition_positive(np.array([1.0, 0.0, 1.0]), d0=4) == [[0, 2]]
 
     def test_d0_below_two_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="d0 >= 2"):
+        with pytest.raises(DomainError, match="^d0 must be at least 2, got 1$"):
             partition_positive(np.ones(3), d0=1)
 
     @pytest.mark.parametrize("y", [np.ones(4), np.zeros(4)], ids=["positives", "all-negative"])
     def test_build_rejects_d0_below_two(self, y):
         data = Dataset(X=np.arange(1.0, 5.0)[None, :], y=y)
-        with pytest.raises(DomainError, match="d0 = 1"):
+        with pytest.raises(DomainError, match="^d0 must be at least 2, got 1$"):
             build_global_minimum(data, rho=0.0, seed=0)
 
 

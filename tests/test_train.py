@@ -349,8 +349,8 @@ def test_argument_domain_checks_raise_domain_error(call, message):
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: Dataset(X=np.zeros((2, 0)), y=np.zeros(0)), "at least one sample",
-                 id="dataset-empty"),
+    pytest.param(lambda: Dataset(X=np.zeros((2, 0)), y=np.zeros(0)),
+                 "^N must be at least 1, got 0$", id="dataset-empty"),
     pytest.param(lambda: Dataset(X=np.zeros((2, 2)), y=[0.0, 2.0]), "0 or 1", id="dataset-label"),
     pytest.param(lambda: Dataset(X=[[0.0, math.nan]], y=[0.0, 1.0]), "non-finite",
                  id="dataset-nan"),
@@ -365,6 +365,8 @@ def test_argument_domain_checks_raise_domain_error(call, message):
     pytest.param(lambda: TrainConfig(epochs=0), "epochs", id="config-epochs-0"),
     pytest.param(lambda: TrainConfig(lr=0.0), "lr", id="config-lr-0"),
     pytest.param(lambda: TrainConfig(lr=math.nan), "lr", id="config-lr-nan"),
+    pytest.param(lambda: TrainConfig(lr=10 ** 400), "^lr must be a finite number",
+                 id="config-lr-past-double"),
     pytest.param(lambda: TrainConfig(rho=math.inf), "rho", id="config-rho-inf"),
     pytest.param(lambda: TrainConfig(rho=True), "rho", id="config-rho-bool"),
     pytest.param(lambda: TrainConfig(lr_decay_epochs=True), "lr_decay_epochs",
@@ -405,6 +407,17 @@ class TestDeriveSeed:
         assert derive_seed(606, "diagnostic", 0, 0) == 18056850325611101768
         assert derive_seed(606, "diagnostic", 9, 2) == 1069313142201077685
         assert derive_seed(7, "init", 0) == 9515785155347926126
+
+    def test_numpy_integers_are_integers(self):
+        assert derive_seed(np.uint32(5), "init", np.int64(0)) == derive_seed(5, "init", 0)
+        assert derive_seed(np.int64(-1), "scan") == derive_seed(-1, "scan")
+
+    def test_numpy_seed_gives_the_same_rows(self):
+        def rows(seed):
+            config = TrainConfig(epochs=2, lr_decay_epochs=1, seed=seed, stop_on_zero_mce=False)
+            return scan_overparam([4], [1.0], 2, config), dlm_diagnostic(4, 2, config)
+
+        assert rows(np.int64(3)) == rows(3)
 
 
 class TestTrainConfigValidation:
