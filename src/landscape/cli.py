@@ -448,6 +448,15 @@ def build_parser():
     return parser
 
 
+def _overflow_message(args, exc):
+    """exc's text, after the integer flags of args that no double holds, if any."""
+    flags = [f"--{name.replace('_', '-')}" for name, value in vars(args).items()
+             if conforms(value, int) and not conforms(value, float)]
+    if not flags:
+        return str(exc)
+    return f"{', '.join(flags)} too large for a double ({exc})"
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -469,7 +478,10 @@ def main(argv=None):
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (LandscapeError, OSError, ValueError, OverflowError, MemoryError) as exc:
+    except OverflowError as exc:     # parsing raises none, so args holds the flags
+        print(f"error: {_overflow_message(args, exc)}", file=sys.stderr)
+        return EXIT_USAGE
+    except (LandscapeError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

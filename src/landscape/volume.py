@@ -10,6 +10,16 @@ blocks are distributed over workers: serial and parallel runs agree bit
 for bit.  Intervals are 95% Wilson, which stays sensible when the hit
 probability is near 0 or 1.
 
+The coherence tail is the one estimator that does not draw the Gaussian
+matrix itself.  Column coherence of an M x N matrix A depends only on
+A^T A = R^T R, where R is the min(M, N) x N upper-triangular factor of
+A = QR, and R's entries are independent (Bartlett's decomposition;
+Muirhead, Aspects of Multivariate Statistical Theory, Thm 3.2.14).  So
+each trial draws R alone: a block draws its normals first, the entries
+above the diagonal, then its chi-squares, the squared diagonal.  A trial
+costs min(M, N) * N values whatever M is, so coherence blocks hold many
+trials, and the thread pool serves them only when N > 90.
+
 Every event formula broadcasts over leading axes, so the same code
 answers for one matrix and for a stack of them.
 """
@@ -136,8 +146,13 @@ def block_rng(seed, block):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _count_hits(event, shape, trials, seed, workers):
-    """Hits of event over trials Gaussian draws of shape, drawn and tested block by block."""
+def _count_hits(event, shape, trials, seed, workers,
+                draw=lambda rng, size: rng.standard_normal(size)):
+    """Hits of event over trials draws of shape, drawn and tested block by block.
+
+    draw(rng, (n, *shape)) makes one block's stack from its stream: n
+    standard Gaussian arrays of shape unless another draw is given.
+    """
     values = math.prod(shape)
     size = max(1, _BLOCK_VALUES // values)
     blocks = -(-trials // size)
@@ -146,7 +161,7 @@ def _count_hits(event, shape, trials, seed, workers):
         hits = 0
         for b in range(lo, hi):
             n = min(size, trials - b * size)
-            hits += int(np.count_nonzero(event(block_rng(seed, b).standard_normal((n, *shape)))))
+            hits += int(np.count_nonzero(event(draw(block_rng(seed, b), (n, *shape)))))
         return hits
 
     workers = min(resolve_workers(workers), blocks)
@@ -162,9 +177,9 @@ def _count_hits(event, shape, trials, seed, workers):
         return sum(pool.map(run_blocks, edges[:-1], edges[1:]))
 
 
-def _estimate(event, shape, trials, seed, workers):
+def _estimate(event, shape, trials, seed, workers, **draw):
     require_at_least(1, trials=trials)
-    hits = _count_hits(event, shape, trials, seed, workers)
+    hits = _count_hits(event, shape, trials, seed, workers, **draw)
     lo, hi = wilson_interval(hits, trials)
     return MCEstimate(
         hits=hits,
@@ -219,16 +234,29 @@ def coherence(A):
 
 
 def estimate_coherence_tail(M, N, eps, trials, seed, workers=None):
-    """Fraction of Gaussian M x N draws whose column coherence exceeds eps."""
+    """Fraction of Gaussian M x N draws whose column coherence exceeds eps.
+
+    Each trial draws the min(M, N) x N triangular factor of the matrix,
+    not the matrix itself (module docstring): its cost does not grow with M.
+    """
     require_at_least(1, M=M)
     require_at_least(2, N=N)
     if not math.isfinite(eps):
         raise DomainError(f"eps must be finite, got {eps}")
 
-    def event(A):
-        return coherence(A) > eps
+    def draw(rng, size):
+        # Bartlett: R_ii ~ chi with M - i degrees of freedom (i from 0), N(0, 1)
+        # above the diagonal, 0 below; a float M serves any M a double holds
+        n, r, _ = size
+        R = np.triu(rng.standard_normal(size), 1)
+        diagonal = np.arange(r)
+        R[:, diagonal, diagonal] = np.sqrt(rng.chisquare(float(M) - diagonal, (n, r)))
+        return R
 
-    return _estimate(event, (M, N), trials, seed, workers)
+    def event(R):
+        return coherence(R) > eps
+
+    return _estimate(event, (min(M, N), N), trials, seed, workers, draw=draw)
 
 
 def _margin(U, X):

@@ -100,6 +100,24 @@ def margin_conditioned_columns(d0, n_cols, sin_alpha, w_unit, seed):
     return np.column_stack(cols)
 
 
+def coherence_hits_direct(M, N, eps, trials, seed):
+    """Trials whose Gaussian M x N matrix, drawn whole, has two columns with |cos| > eps.
+
+    Columns are normalized before their Gram matrix is formed, a chunk of
+    matrices at a time.
+    """
+    rng = np.random.default_rng(seed)
+    chunk = max(1, (1 << 18) // (M * N))
+    hits = 0
+    for start in range(0, trials, chunk):
+        A = rng.standard_normal((min(chunk, trials - start), M, N))
+        U = A / np.linalg.norm(A, axis=1, keepdims=True)
+        cosines = np.abs(np.einsum("kmi,kmj->kij", U, U))
+        cosines[:, range(N), range(N)] = 0.0
+        hits += int(np.count_nonzero(cosines.max(axis=(1, 2)) > eps))
+    return hits
+
+
 def fd_gradient(params, data, h=1e-6):
     """Central finite-difference gradient of the mean squared error."""
     W, z, rho = params.W, params.z, params.rho

@@ -24,7 +24,8 @@ def write_dataset_csv(path, data):
 
 
 # Outputs objects recorded with the if/elif dispatcher these handlers replaced;
-# the volume entries are recorded under the per-block Monte Carlo streams.
+# the volume entries are recorded under the per-block Monte Carlo streams, and
+# coherence under its triangular-factor draw.
 PINNED_KIND_OUTPUTS = [
     ("volume angular --d0 3 --d1 2 --n 4 --pattern-seed 3 --trials 3000 --seed 4",
      {"bound": None,
@@ -57,10 +58,10 @@ PINNED_KIND_OUTPUTS = [
                    "trials": 2000}}),
     ("volume coherence --m 50 --n 4 --eps 0.5 --trials 500 --seed 9",
      {"bound": {"tail": 1.0},
-      "estimate": {"ci_high": 0.011240706705146758,
-                   "ci_low": 0.00035313639455927456,
-                   "estimate": 0.002,
-                   "hits": 1,
+      "estimate": {"ci_high": 0.007624340461552241,
+                   "ci_low": 4.336808689942018e-19,
+                   "estimate": 0.0,
+                   "hits": 0,
                    "seed": 9,
                    "trials": 500}}),
     ("volume margin --d0 3 --d1star 1 --n 2 --sin-alpha 0.1 --pattern-seed 7 --trials 2000 "
@@ -426,6 +427,22 @@ class TestExitCodes:
         assert run_cli(*argv.split(), "--out", str(out)) == 1
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv, flags", [
+        pytest.param(f"bounds suboptimal --n {BIG} --d0 3 --d1 3 --epsilon 0.1 --rho 0", "--n",
+                     id="suboptimal-n-huge"),
+        pytest.param(f"bounds ratio --n {BIG} --d0 {BIG} --d1 3 --epsilon 0.1 --rho 0",
+                     "--n, --d0", id="ratio-n-d0-huge"),
+        pytest.param(f"bounds orthant --n 4 --m {BIG} --l 3", "--m", id="orthant-m-huge"),
+        pytest.param(f"volume coherence --m {BIG} --n 5 --eps 0.5 --trials 10 --seed 1", "--m",
+                     id="volume-coherence-m-huge"),
+    ])
+    def test_count_past_double_range_names_its_flag(self, tmp_path, capsys, argv, flags):
+        out = tmp_path / "never.json"
+        assert run_cli(*argv.split(), "--out", str(out)) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flags} too large for a double (") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, message", [
         pytest.param("volume coherence --m 0 --n 3 --eps 0.5 --trials 10 --seed 1",

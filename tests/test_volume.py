@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
-from _oracles import margin_conditioned_columns, three_sigma
+from _oracles import coherence_hits_direct, margin_conditioned_columns, three_sigma
 from landscape.bounds import beta_angle_bounds
 from landscape import volume
 from landscape.errors import DomainError, ZeroVector
@@ -188,6 +189,40 @@ class TestCoherenceTail:
         est = estimate_coherence_tail(2000, 5, 0.3, 2_000, seed=43)
         assert est.estimate <= 0.0277 + three_sigma(0.0277, 2_000)
 
+    def test_one_row_is_always_coherent(self):
+        # any two nonzero scalars are parallel
+        assert estimate_coherence_tail(1, 4, 0.999, 2_000, seed=44).estimate == 1.0
+
+    @pytest.mark.parametrize("M, eps", [(2, 0.5), (3, 0.5), (10, 0.3), (50, 0.2), (2000, 0.03)])
+    def test_two_columns_match_the_exact_tail(self, M, eps):
+        # cos^2 of two Gaussian columns is Beta(1/2, (M - 1)/2), so
+        # P(|cos| > eps) = I_{1 - eps^2}((M - 1)/2, 1/2); within 5 binomial sigma
+        trials = 200_000
+        p = betainc((M - 1) / 2, 0.5, 1.0 - eps * eps)
+        hits = estimate_coherence_tail(M, 2, eps, trials, seed=M).hits
+        assert abs(hits - trials * p) <= 5 * math.sqrt(trials * p * (1.0 - p))
+
+    @pytest.mark.parametrize("M, N, eps", [(5, 3, 0.8), (10, 4, 0.6), (200, 6, 0.2),
+                                           (2, 5, 0.95), (3, 6, 0.9)])
+    def test_matches_whole_gaussian_draws(self, M, N, eps):
+        # two-sample z within 5 against matrices drawn whole, M < N included
+        trials = 40_000
+        hits = estimate_coherence_tail(M, N, eps, trials, seed=45).hits
+        direct = coherence_hits_direct(M, N, eps, trials, seed=46)
+        p = (hits + direct) / (2 * trials)
+        assert abs(hits - direct) <= 5 * math.sqrt(2 * trials * p * (1.0 - p))
+
+    def test_cost_does_not_grow_with_m(self):
+        # a trial draws its 5 x 5 factor; the Gaussian 2^62 x 5 matrix would not fit in memory
+        estimate_coherence_tail(2**62, 5, 1e-3, 1, seed=47, workers=1)   # first-call set-up
+        tracemalloc.start()
+        try:
+            estimate_coherence_tail(2**62, 5, 1e-3, 20_000, seed=47, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestMarginProbability:
     def test_zero_threshold_always_met(self):
@@ -286,9 +321,9 @@ class TestBlockStreams:
         assert estimate_orthant_probability(1, 1, 1, trials, seed=61).hits == hits
 
     def test_coherence_block_stays_under_draw_cap(self):
-        # one M = 2000, N = 5 trial draws 10^4 values, more than a block's
-        # cap, so each block holds that one trial; 64-trial blocks would
-        # peak above 5 MB
+        # one M = 2000, N = 5 trial draws its 5 x 5 factor, not the 10^4
+        # values of the Gaussian matrix, which would peak above 5 MB at 64
+        # trials a block
         M, N = 2000, 5
         estimate_coherence_tail(M, N, 0.3, 1, seed=67, workers=1)   # first-call set-up
         tracemalloc.start()
@@ -408,9 +443,10 @@ def test_pool_runs_only_for_large_draws(monkeypatch):
     monkeypatch.setattr(volume.os, "cpu_count", lambda: 8)
     half = volume._BLOCK_VALUES // 2
     estimate_orthant_probability(2, 2, 2, 50_000, seed=1, workers=4)
-    estimate_coherence_tail(half, 2, 0.5, 3, seed=1, workers=4)
+    estimate_margin_probability(np.ones((1, half)), 2, 0.5, 3, seed=1, workers=4)
     assert pools == []
-    estimate_coherence_tail(half + 1, 2, 0.5, 3, seed=1, workers=4)
+    estimate_margin_probability(np.ones((1, volume._BLOCK_VALUES + 1)), 1, 0.5, 3, seed=1,
+                                workers=4)
     assert pools == [3]
 
 
