@@ -35,7 +35,7 @@ class BoundInputs:
 
     lim_ratio stands in for the limiting ratio d0/N, which has no
     finite-sample value; it defaults to 0 and only matters when rho is
-    not 0.  rho must be finite and differ from 1 (BadLeak otherwise).
+    not 0.  rho must be finite and differ from 1 (DomainError otherwise).
     """
 
     N: int

@@ -25,7 +25,7 @@ from . import bounds as bounds_mod
 from . import construct as construct_mod
 from . import train as train_mod
 from . import volume as volume_mod
-from .errors import DatasetFormatError, DomainError, LandscapeError, NumericalError
+from .errors import DomainError, LandscapeError, NumericalError
 from .linalg import numerical_rank
 from .network import (
     Dataset, activation_slopes, check_leak, khatri_rao, mean_square, misclassified,
@@ -67,14 +67,14 @@ def load_dataset_csv(path):
 
     Raises
     ------
-    DatasetFormatError
+    DomainError
         Naming the 1-based offending line for any structural problem or a
         label outside {0, 1}.
     """
     with open(path) as handle:
         lines = handle.read().splitlines()
     if not lines:
-        raise DatasetFormatError("line 1: empty file, expected header 'd0=<int>,N=<int>'")
+        raise DomainError("line 1: empty file, expected header 'd0=<int>,N=<int>'")
     header = lines[0].replace(" ", "")
     parts = header.split(",")
     try:
@@ -83,12 +83,12 @@ def load_dataset_csv(path):
         d0 = int(parts[0][3:])
         N = int(parts[1][2:])
     except ValueError:
-        raise DatasetFormatError("line 1: expected header 'd0=<int>,N=<int>'") from None
+        raise DomainError("line 1: expected header 'd0=<int>,N=<int>'") from None
     if d0 < 0 or N < 0:
-        raise DatasetFormatError(f"line 1: d0 and N must be non-negative, got d0={d0}, N={N}")
+        raise DomainError(f"line 1: d0 and N must be non-negative, got d0={d0}, N={N}")
     data_lines = [l for l in lines[1:] if l.strip()]
     if len(data_lines) != N:
-        raise DatasetFormatError(
+        raise DomainError(
             f"line {len(lines)}: header promises N={N} rows, found {len(data_lines)}"
         )
     X = np.empty((d0, N))
@@ -97,18 +97,18 @@ def load_dataset_csv(path):
         lineno = n + 2
         fields = line.split(",")
         if len(fields) != d0 + 1:
-            raise DatasetFormatError(
+            raise DomainError(
                 f"line {lineno}: expected {d0 + 1} comma-separated fields, got {len(fields)}"
             )
         try:
             values = [float(f) for f in fields]
         except ValueError:
-            raise DatasetFormatError(f"line {lineno}: non-numeric field") from None
+            raise DomainError(f"line {lineno}: non-numeric field") from None
         if not all(map(math.isfinite, values)):
-            raise DatasetFormatError(f"line {lineno}: non-finite field")
+            raise DomainError(f"line {lineno}: non-finite field")
         label = values[-1]
         if label not in (0.0, 1.0):
-            raise DatasetFormatError(f"line {lineno}: label must be 0 or 1, got {fields[-1]}")
+            raise DomainError(f"line {lineno}: label must be 0 or 1, got {fields[-1]}")
         X[:, n] = values[:-1]
         y[n] = label
     return Dataset(X=X, y=y)
@@ -459,6 +459,7 @@ def _overflow_message(args, exc):
 
 def main(argv=None):
     parser = build_parser()
+    args = argparse.Namespace()     # no flags until parsing succeeds
     try:
         args = parser.parse_args(argv)
         started = datetime.now(timezone.utc).isoformat()
@@ -478,11 +479,11 @@ def main(argv=None):
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OverflowError as exc:     # parsing raises none, so args holds the flags
-        print(f"error: {_overflow_message(args, exc)}", file=sys.stderr)
-        return EXIT_USAGE
-    except (LandscapeError, OSError, ValueError, MemoryError) as exc:
+    except (LandscapeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (OverflowError, ValueError) as exc:    # numpy's or math's text, which names no flag
+        print(f"error: {_overflow_message(args, exc)}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateData, DomainError, TargetTooSmall, ZeroVector, require_at_least
+from .errors import DegenerateData, DomainError, require_at_least
 from .linalg import canonical_sign, check_bordered, check_rank, nullspace_solve
 from .network import NetParams, check_leak, evaluate, mean_square
 
@@ -163,15 +163,12 @@ def build_global_minimum(data, rho, target_d1=None, seed=None):
 
     Raises
     ------
-    BadLeak
-        If rho is not finite or is 1.
     DomainError
-        If d0 < 2.
+        If rho is not finite or is 1, d0 < 2, or target_d1 is below the
+        constructed width.
     DegenerateData
         If X sits on a measure-zero configuration the construction cannot use,
         such as a repeated positive sample.
-    TargetTooSmall
-        If target_d1 is below the constructed width.
     """
     check_leak(rho)
     d0 = data.d0
@@ -197,7 +194,7 @@ def build_global_minimum(data, rho, target_d1=None, seed=None):
     z = (c[:, None] * np.array([1.0, -1.0, -1.0, 1.0])).reshape(-1)
     if target_d1 is not None:
         if target_d1 < d1_star:
-            raise TargetTooSmall(f"target_d1 = {target_d1} below constructed width {d1_star}")
+            raise DomainError(f"target_d1 = {target_d1} below constructed width {d1_star}")
         pad = target_d1 - d1_star
         rows = np.vstack([rows, rng.standard_normal((pad, d0))])
         z = np.concatenate([z, np.zeros(pad)])
@@ -226,7 +223,7 @@ def angular_margin(X, Wstar):
 
     Raises
     ------
-    ZeroVector
+    DegenerateData
         If a column of X or row of Wstar has zero norm.
     """
     X = np.asarray(X, dtype=float)
@@ -234,7 +231,7 @@ def angular_margin(X, Wstar):
     col_norms = _column_norms(X)
     row_norms = np.linalg.norm(Wstar, axis=1)
     if np.any(col_norms == 0.0) or np.any(row_norms == 0.0):
-        raise ZeroVector("angular margin undefined for zero rows or columns")
+        raise DegenerateData("angular margin undefined for zero rows or columns")
     C = np.abs(Wstar @ X) / np.outer(row_norms, col_norms)
     i, n = np.unravel_index(int(np.argmin(C)), C.shape)
     return MarginCertificate(sin_alpha=float(C[i, n]), argmin_pair=(int(i), int(n)))

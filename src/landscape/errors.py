@@ -1,4 +1,10 @@
-"""Exception types shared across the package, and the one minimum-count rule."""
+"""Exception types shared across the package, and the one minimum-count rule.
+
+One type per exit code: DomainError for a caller's fault (CLI exit 1),
+NumericalError for numerics (CLI exit 2).  Of the latter, DegenerateData
+names the measure-zero inputs the package refuses and NonFinite carries
+the epoch where a loss diverged.
+"""
 
 
 class LandscapeError(Exception):
@@ -13,28 +19,9 @@ class DomainError(LandscapeError, ValueError):
     """A caller's argument breaks a rule of the function it is passed to (CLI exit 1)."""
 
 
-class ShapeMismatch(DomainError):
-    """Operands have incompatible dimensions."""
-
-
-class InstanceTooLarge(DomainError):
-    """Exhaustive oracle asked to enumerate more subsets than its cap allows."""
-
-
 class DegenerateData(NumericalError):
-    """Data sits on a measure-zero configuration: a matrix lost rank at the working tolerance."""
-
-
-class BadLeak(DomainError):
-    """Leak parameter is not finite or makes the unit linear (rho = 1)."""
-
-
-class TargetTooSmall(DomainError):
-    """Requested hidden width is below the constructed width."""
-
-
-class ZeroVector(NumericalError):
-    """A vector required to be nonzero has zero norm."""
+    """Data sits on a measure-zero configuration: a matrix lost rank at the working
+    tolerance, or a vector that must be nonzero has zero norm."""
 
 
 class NonFinite(NumericalError):
@@ -43,10 +30,6 @@ class NonFinite(NumericalError):
     def __init__(self, epoch, message=None):
         self.epoch = epoch
         super().__init__(message or f"loss became non-finite at epoch {epoch}")
-
-
-class DatasetFormatError(DomainError):
-    """Dataset file violates the CSV format contract, labels in {0, 1} included."""
 
 
 def require_at_least(low, **counts):

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLeak, DomainError, ShapeMismatch, require_at_least
+from .errors import DomainError, require_at_least
 
 
 def check_leak(rho):
     """Reject a leak that is not finite or is 1, where the unit is linear."""
     if not math.isfinite(rho) or rho == 1.0:
-        raise BadLeak(f"rho must be finite and differ from 1, got {rho!r}")
+        raise DomainError(f"rho must be finite and differ from 1, got {rho!r}")
 
 
 @dataclass
@@ -36,7 +36,7 @@ class NetParams:
         self.z = np.asarray(self.z, dtype=float)
         check_leak(self.rho)
         if self.W.ndim != 2 or self.z.ndim != 1 or self.W.shape[0] != self.z.shape[0]:
-            raise ShapeMismatch("W must be (d1, d0) and z (d1,)")
+            raise DomainError("W must be (d1, d0) and z (d1,)")
         if not (np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.z))):
             raise DomainError("non-finite parameter entries")
 
@@ -60,7 +60,7 @@ class Dataset:
         self.X = np.asarray(self.X, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
         if self.X.ndim != 2 or self.y.ndim != 1 or self.X.shape[1] != self.y.shape[0]:
-            raise ShapeMismatch("X must be (d0, N) and y (N,)")
+            raise DomainError("X must be (d0, N) and y (N,)")
         require_at_least(1, N=self.y.shape[0])
         if not np.all((self.y == 0.0) | (self.y == 1.0)):
             raise DomainError("labels must be exactly 0 or 1")
@@ -136,7 +136,7 @@ def khatri_rao(A, X):
     A = np.asarray(A, dtype=float)
     X = np.asarray(X, dtype=float)
     if A.ndim != 2 or X.ndim != 2 or A.shape[1] != X.shape[1]:
-        raise ShapeMismatch("A and X must be matrices with equal column counts")
+        raise DomainError("A and X must be matrices with equal column counts")
     d0 = X.shape[0]
     d1 = A.shape[0]
     return np.repeat(A, d0, axis=0) * np.tile(X, (d1, 1))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstanceTooLarge, require_at_least
+from .errors import DomainError, require_at_least
 from .linalg import numerical_rank
 from .network import backward, evaluate
 
@@ -60,16 +60,15 @@ def rank_condition_oracle(A, X):
     Raises
     ------
     DomainError
-        If A (d1, N) or X (d0, N) has a dimension below 1.
-    InstanceTooLarge
-        If the instance has more than MAX_ORACLE_SAMPLES columns.
+        If A (d1, N) or X (d0, N) has a dimension below 1, or more than
+        MAX_ORACLE_SAMPLES columns.
     """
     A = np.asarray(A, dtype=float)
     X = np.asarray(X, dtype=float)
     (d1, N), (d0, X_columns) = A.shape, X.shape
     require_at_least(1, d1=d1, N=N, d0=d0, X_columns=X_columns)
     if N > MAX_ORACLE_SAMPLES:
-        raise InstanceTooLarge(f"rank oracle capped at N = {MAX_ORACLE_SAMPLES}")
+        raise DomainError(f"rank oracle capped at N = {MAX_ORACLE_SAMPLES}")
     home = [None] * N   # index of the part holding each column
 
     def independent(cols):

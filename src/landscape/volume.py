@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ZeroVector, require_at_least
+from .errors import DegenerateData, DomainError, require_at_least
 
 _WILSON_Z = 1.959963984540054  # 97.5% standard normal quantile
 
@@ -151,11 +151,15 @@ def _count_hits(event, shape, trials, seed, workers,
     """Hits of event over trials draws of shape, drawn and tested block by block.
 
     draw(rng, (n, *shape)) makes one block's stack from its stream: n
-    standard Gaussian arrays of shape unless another draw is given.
+    standard Gaussian arrays of shape unless another draw is given.  A
+    trials count past 2^64 blocks is refused before any draw.
     """
     values = math.prod(shape)
     size = max(1, _BLOCK_VALUES // values)
     blocks = -(-trials // size)
+    if blocks > 1 << 64:    # a block's index is one 64-bit word of its stream's key
+        raise DomainError(f"trials must be at most {size << 64} (2^64 blocks of {size}), "
+                          f"got {trials}")
 
     def run_blocks(lo, hi):
         hits = 0
@@ -227,7 +231,7 @@ def coherence(A):
     diagonal = np.arange(A.shape[-1])
     norms = np.sqrt(G[..., diagonal, diagonal])
     if np.any(norms == 0.0):
-        raise ZeroVector("coherence undefined with a zero column")
+        raise DegenerateData("coherence undefined with a zero column")
     cosines = np.abs(G) / (norms[..., :, None] * norms[..., None, :])
     cosines[..., diagonal, diagonal] = 0.0
     return np.max(cosines, axis=(-2, -1))
@@ -273,7 +277,7 @@ def estimate_margin_probability(Wstar, N, sin_alpha, trials, seed, workers=None)
         raise DomainError(f"sin_alpha must be finite, got {sin_alpha}")
     row_norms = np.linalg.norm(Wstar, axis=1)
     if np.any(row_norms == 0.0):
-        raise ZeroVector("margin undefined with a zero weight row")
+        raise DegenerateData("margin undefined with a zero weight row")
     U = Wstar / row_norms[:, None]
 
     def event(X):

@@ -19,7 +19,7 @@ from scipy.special import log_ndtr
 
 from landscape import construct
 from landscape.construct import Construction, ConstructionBlock, partition_positive
-from landscape.errors import DegenerateData, TargetTooSmall
+from landscape.errors import DegenerateData, DomainError
 from landscape.linalg import (
     DEFAULT_RANK_TOL,
     _check_finite,
@@ -291,7 +291,7 @@ def build_global_minimum_per_block(data, rho, target_d1=None, seed=None,
     d1_star = 4 * len(blocks)
     if target_d1 is not None:
         if target_d1 < d1_star:
-            raise TargetTooSmall(f"target_d1 = {target_d1} below constructed width {d1_star}")
+            raise DomainError(f"target_d1 = {target_d1} below constructed width {d1_star}")
         pad = target_d1 - d1_star
         rows.extend(rng.standard_normal((pad, d0)))
         z_entries.extend([0.0] * pad)

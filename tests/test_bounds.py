@@ -23,7 +23,7 @@ from landscape.bounds import (
     suboptimal_volume_bound,
     suboptimal_volume_log_bound,
 )
-from landscape.errors import BadLeak, DomainError
+from landscape.errors import DomainError
 
 # reference values computed independently with 25-digit arithmetic
 PHI0 = 0.39894228040143268
@@ -156,12 +156,12 @@ class TestGammaEpsilon:
         assert gamma_epsilon(inputs) == pytest.approx(0.040900426430895224, rel=1e-12)
 
     def test_bad_leak(self):
-        with pytest.raises(BadLeak):
+        with pytest.raises(DomainError, match="rho must be finite and differ from 1"):
             gamma_epsilon(BoundInputs(N=2, d0=2, d1=2, epsilon=0.1, rho=1.0))
 
     @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
     def test_non_finite_leak_rejected(self, rho):
-        with pytest.raises(BadLeak):
+        with pytest.raises(DomainError, match="rho must be finite and differ from 1"):
             BoundInputs(N=2, d0=2, d1=2, epsilon=0.1, rho=rho)
 
 

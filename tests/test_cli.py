@@ -9,7 +9,7 @@ import pytest
 
 from landscape import errors
 from landscape.cli import RunRecord, load_dataset_csv, main, write_atomic
-from landscape.errors import DatasetFormatError
+from landscape.errors import DomainError
 from landscape.network import Dataset
 from landscape.train import gen_gaussian_dataset
 
@@ -132,46 +132,47 @@ class TestDatasetCsv:
     def test_label_domain_error_names_line(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("d0=1,N=2\n1.0,1\n2.0,2\n")
-        with pytest.raises(DatasetFormatError, match="line 3"):
+        with pytest.raises(DomainError, match="^line 3: label must be 0 or 1, got 2$"):
             load_dataset_csv(path)
 
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("d0=2,N=2\n1.0,2.0,1\n1.0,0\n")
-        with pytest.raises(DatasetFormatError, match="line 3"):
+        message = "^line 3: expected 3 comma-separated fields, got 2$"
+        with pytest.raises(DomainError, match=message):
             load_dataset_csv(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
     def test_non_finite_field_names_line(self, tmp_path, bad):
         path = tmp_path / "data.csv"
         path.write_text(f"d0=2,N=2\n1.0,2.0,1\n{bad},0.5,0\n")
-        with pytest.raises(DatasetFormatError, match="line 3: non-finite"):
+        with pytest.raises(DomainError, match="^line 3: non-finite field$"):
             load_dataset_csv(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("dims=2\n")
-        with pytest.raises(DatasetFormatError, match="line 1"):
+        with pytest.raises(DomainError, match="^line 1: expected header 'd0=<int>,N=<int>'$"):
             load_dataset_csv(path)
 
     @pytest.mark.parametrize("header", ["d0=-1,N=0", "d0=2,N=-1"])
     def test_negative_count_in_header_names_line_1(self, tmp_path, header):
         path = tmp_path / "data.csv"
         path.write_text(header + "\n")
-        with pytest.raises(DatasetFormatError, match="line 1: d0 and N must be non-negative"):
+        with pytest.raises(DomainError, match="^line 1: d0 and N must be non-negative, got d0="):
             load_dataset_csv(path)
 
     def test_empty_file_names_line_1(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("")
-        with pytest.raises(DatasetFormatError, match="^line 1: empty file"):
+        with pytest.raises(DomainError, match="^line 1: empty file, expected header"):
             load_dataset_csv(path)
 
     def test_header_promising_more_rows_names_last_line(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("d0=2,N=3\n1.0,2.0,1\n")
         message = "^line 2: header promises N=3 rows, found 1$"
-        with pytest.raises(DatasetFormatError, match=message):
+        with pytest.raises(DomainError, match=message):
             load_dataset_csv(path)
 
 
@@ -385,6 +386,11 @@ class TestExitCodes:
         if cls is not errors.LandscapeError:
             assert issubclass(cls, (errors.DomainError, errors.NumericalError))
 
+    def test_errors_defines_five_types(self):
+        defined = {name for name, value in vars(errors).items() if isinstance(value, type)}
+        assert defined == {"LandscapeError", "DomainError", "NumericalError", "DegenerateData",
+                           "NonFinite"}
+
     @pytest.mark.parametrize("argv", [
         pytest.param("volume orthant --n 0 --m 1 --l 1 --trials 10 --seed 1",
                      id="volume-orthant-n0"),
@@ -436,6 +442,13 @@ class TestExitCodes:
         pytest.param(f"bounds orthant --n 4 --m {BIG} --l 3", "--m", id="orthant-m-huge"),
         pytest.param(f"volume coherence --m {BIG} --n 5 --eps 0.5 --trials 10 --seed 1", "--m",
                      id="volume-coherence-m-huge"),
+        # numpy's ValueError "Maximum allowed dimension exceeded" from the draw's shape
+        pytest.param(f"volume coherence --m 5 --n {BIG} --eps 0.5 --trials 10 --seed 1", "--n",
+                     id="volume-coherence-n-huge"),
+        pytest.param(f"volume margin --d0 3 --d1star 1 --n {BIG} --sin-alpha 0.1 --trials 10 "
+                     "--seed 1", "--n", id="volume-margin-n-huge"),
+        pytest.param(f"volume angular --d0 3 --d1 2 --n {BIG} --trials 10 --seed 1", "--n",
+                     id="volume-angular-n-huge"),
     ])
     def test_count_past_double_range_names_its_flag(self, tmp_path, capsys, argv, flags):
         out = tmp_path / "never.json"
@@ -457,6 +470,10 @@ class TestExitCodes:
                      "d0 must be at least 1, got 0", id="volume-angular-d0-0"),
         pytest.param("volume angular --d0 3 --d1 2 --n 0 --trials 10 --seed 1",
                      "N must be at least 1, got 0", id="volume-angular-n0"),
+        # 14 values a trial, so 8192 // 14 = 585 trials a block
+        pytest.param(f"volume orthant --n 4 --m 2 --l 3 --trials {BIG} --seed 2",
+                     f"trials must be at most {585 << 64} (2^64 blocks of 585), got {BIG}",
+                     id="volume-orthant-trials-huge"),
     ])
     def test_empty_shape_exits_one_before_any_draw(self, tmp_path, capsys, monkeypatch, argv,
                                                    message):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from _oracles import rank_condition_exhaustive
 from landscape.construct import build_global_minimum
-from landscape.errors import DomainError, InstanceTooLarge
+from landscape.errors import DomainError
 from landscape.linalg import numerical_rank
 from landscape.network import (
     Dataset,
@@ -150,7 +150,7 @@ class TestRankConditionOracle:
             rank_condition_oracle(np.ones((d1, N)), np.ones((d0, N)))
 
     def test_cap(self):
-        with pytest.raises(InstanceTooLarge):
+        with pytest.raises(DomainError, match="rank oracle capped at N = 256"):
             rank_condition_oracle(np.ones((1, 257)), np.ones((1, 257)))
 
     # seed 3 draws a pattern on which the condition fails although 4 * d1 >= 64

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.special import betainc
 from _oracles import coherence_hits_direct, margin_conditioned_columns, three_sigma
 from landscape.bounds import beta_angle_bounds
 from landscape import volume
-from landscape.errors import DomainError, ZeroVector
+from landscape.errors import DegenerateData, DomainError
 from landscape.network import activation_slopes
 from landscape.volume import (
     MCEstimate,
@@ -167,7 +168,7 @@ class TestCoherence:
         assert coherence(A) == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
     def test_zero_column_rejected(self):
-        with pytest.raises(ZeroVector):
+        with pytest.raises(DegenerateData, match="coherence undefined with a zero column"):
             coherence(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize("A", [np.ones((3, 1)), np.ones(3)], ids=["one-column", "vector"])
@@ -242,7 +243,7 @@ class TestMarginProbability:
         assert est.estimate >= lower - three_sigma(0.9, TRIALS)
 
     def test_zero_weight_row_rejected(self):
-        with pytest.raises(ZeroVector):
+        with pytest.raises(DegenerateData, match="margin undefined with a zero weight row"):
             estimate_margin_probability(np.array([[1.0, 0.0], [0.0, 0.0]]), 3, 0.1, 10, seed=1)
 
 
@@ -504,6 +505,21 @@ class TestEmptyShapes:
         monkeypatch.setattr(volume, "block_rng", None)   # any draw would fail differently
         with pytest.raises(DomainError):
             call()
+
+
+def test_trials_past_two_to_the_64_blocks_refused_before_any_draw(monkeypatch):
+    # a block's index is one 64-bit word of its stream's key
+    monkeypatch.setattr(volume, "block_rng", None)   # any draw would fail differently
+    size = volume._BLOCK_VALUES // 14       # orthant (4, 2, 3) draws 14 values a trial
+    limit = re.escape(f"trials must be at most {size << 64} (2^64 blocks of {size}), got ")
+    for trials in (size << 64) + 1, 10**400:
+        with pytest.raises(DomainError, match=f"^{limit}{trials}$"):
+            estimate_orthant_probability(4, 2, 3, trials, seed=2)
+    no_hit = lambda W: np.zeros(len(W), dtype=bool)
+    heavy = (volume._BLOCK_VALUES + 1,)     # one trial a block
+    limit = re.escape(f"trials must be at most {1 << 64} (2^64 blocks of 1), got ")
+    with pytest.raises(DomainError, match=f"^{limit}{(1 << 64) + 1}$"):
+        volume._count_hits(no_hit, heavy, (1 << 64) + 1, 1, 1)
 
 
 def test_resolve_workers(monkeypatch):
