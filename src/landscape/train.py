@@ -133,19 +133,23 @@ _LABEL_ENTROPY = {
 def derive_seed(*parts):
     """Stable child seed from a label-and-index path (top seed first).
 
-    An integer (numpy's included) enters as its low 32 bits and a label as
-    its fixed entropy word.
+    A non-negative integer (numpy's included) enters whole, as SeedSequence
+    takes it: one 32-bit word below 2^32, more words above.  A label enters
+    as its fixed entropy word.
 
     Raises
     ------
     DomainError
-        For a label other than "scan", "init" and "diagnostic": a new label
-        needs its own word, or its streams could collide with another's.
+        For a negative integer, or a label other than "scan", "init" and
+        "diagnostic": a new label needs its own word, or its streams could
+        collide with another's.
     """
     entropy = []
     for p in parts:
         if isinstance(p, (int, np.integer)):
-            entropy.append(int(p) & 0xFFFFFFFF)
+            if p < 0:
+                raise DomainError(f"seed parts must be non-negative integers, got {p}")
+            entropy.append(int(p))
         elif p in _LABEL_ENTROPY:
             entropy.append(_LABEL_ENTROPY[p])
         else:

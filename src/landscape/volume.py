@@ -3,12 +3,13 @@
 The unit of randomness and of work is a block of trials.  A block holds
 as many trials as fit in a fixed number of Gaussian values (at least
 one), draws them as one array of shape (n, ...) from its own
-counter-based stream (Philox keyed by (seed, block index)), and the
-event is evaluated on the whole stack at once.  Blocks depend only on
-(seed, trials, draw shape), so the hit count is independent of how
-blocks are distributed over workers: serial and parallel runs agree bit
-for bit.  Intervals are 95% Wilson, which stays sensible when the hit
-probability is near 0 or 1.
+counter-based stream (Philox keyed by the two 64-bit words (seed, block
+index), so a seed must lie in [0, 2^64)), and the event is evaluated on
+the whole stack at once.  Blocks depend only on (seed, trials, draw
+shape), so the hit count is independent of how blocks are distributed
+over workers (worker w of k takes blocks w, w + k, w + 2k, ...): serial
+and parallel runs agree bit for bit.  Intervals are 95% Wilson, which
+stays sensible when the hit probability is near 0 or 1.
 
 The coherence tail is the one estimator that does not draw the Gaussian
 matrix itself.  Column coherence of an M x N matrix A depends only on
@@ -36,8 +37,6 @@ from .errors import DegenerateData, DomainError, require_at_least
 
 _WILSON_Z = 1.959963984540054  # 97.5% standard normal quantile
 
-_MASK64 = (1 << 64) - 1
-
 # Gaussian values one block draws, unless a single trial needs more: 64 KiB
 # of float64, so a block's temporaries stay small beside the process, while
 # the per-block cost (a fresh Philox stream, a few numpy calls) is spread
@@ -64,8 +63,8 @@ def _sign_region(X, signs, rows):
     """
 
     def predicate(W):
-        P = W[..., :rows, :] @ X
-        return np.all((P != 0.0) & (np.sign(P) == signs), axis=(-2, -1))
+        with np.errstate(invalid="ignore"):     # inf times 0 is NaN, and NaN is outside
+            return np.all((W[..., :rows, :] @ X) * signs > 0.0, axis=(-2, -1))
 
     return predicate
 
@@ -142,28 +141,32 @@ def resolve_workers(workers=None):
 
 def block_rng(seed, block):
     """Independent generator for one block of trials, keyed by (seed, block index)."""
-    key = np.array([seed & _MASK64, block], dtype=np.uint64)
+    key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _count_hits(event, shape, trials, seed, workers,
-                draw=lambda rng, size: rng.standard_normal(size)):
-    """Hits of event over trials draws of shape, drawn and tested block by block.
+def _estimate(event, shape, trials, seed, workers,
+              draw=lambda rng, size: rng.standard_normal(size)):
+    """MCEstimate of event over trials draws of shape, drawn and tested block by block.
 
     draw(rng, (n, *shape)) makes one block's stack from its stream: n
     standard Gaussian arrays of shape unless another draw is given.  A
-    trials count past 2^64 blocks is refused before any draw.
+    seed outside [0, 2^64) or a trials count past 2^64 blocks is refused
+    before any draw: each is one 64-bit word of a block's stream key.
     """
+    require_at_least(1, trials=trials)
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 1 << 64):
+        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed}")
     values = math.prod(shape)
     size = max(1, _BLOCK_VALUES // values)
     blocks = -(-trials // size)
-    if blocks > 1 << 64:    # a block's index is one 64-bit word of its stream's key
+    if blocks > 1 << 64:
         raise DomainError(f"trials must be at most {size << 64} (2^64 blocks of {size}), "
                           f"got {trials}")
 
-    def run_blocks(lo, hi):
+    def count(span):
         hits = 0
-        for b in range(lo, hi):
+        for b in span:
             n = min(size, trials - b * size)
             hits += int(np.count_nonzero(event(draw(block_rng(seed, b), (n, *shape)))))
         return hits
@@ -174,16 +177,12 @@ def _count_hits(event, shape, trials, seed, workers,
     # under the GIL (0.7-1.1x on 2 cores, against 1.1-1.6x from 10^4 values
     # per trial on).
     if workers <= 1 or values <= _BLOCK_VALUES:
-        return run_blocks(0, blocks)
-    # contiguous runs of blocks; summation order does not affect the integer total
-    edges = np.linspace(0, blocks, min(blocks, 4 * workers) + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(run_blocks, edges[:-1], edges[1:]))
-
-
-def _estimate(event, shape, trials, seed, workers, **draw):
-    require_at_least(1, trials=trials)
-    hits = _count_hits(event, shape, trials, seed, workers, **draw)
+        hits = count(range(blocks))
+    else:
+        # worker w takes blocks w, w + workers, ...: every block exactly once
+        # at any count, and summation order does not affect the integer total
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            hits = sum(pool.map(count, (range(w, blocks, workers) for w in range(workers))))
     lo, hi = wilson_interval(hits, trials)
     return MCEstimate(
         hits=hits,

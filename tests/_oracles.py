@@ -5,9 +5,10 @@ code under test (angular sweeps instead of binomial sums, LP feasibility
 instead of closed forms, finite differences instead of analytic gradients,
 scipy root finding and bounded minimization instead of bisection and
 golden-section search, subset enumeration instead of matroid partition,
-one construction block at a time instead of one stack of blocks, and a
+one construction block at a time instead of one stack of blocks, a
 bordered solve per block instead of the null-space SVD's minimum-norm
-solution).
+solution, and a zero test plus a sign comparison instead of one product's
+sign).
 """
 
 import math
@@ -116,6 +117,11 @@ def coherence_hits_direct(M, N, eps, trials, seed):
         cosines[:, range(N), range(N)] = 0.0
         hits += int(np.count_nonzero(cosines.max(axis=(1, 2)) > eps))
     return hits
+
+
+def sign_pattern_three_step(P, signs):
+    """Whether each matrix of P has no zero entry and the sign pattern signs, in three steps."""
+    return np.all((P != 0.0) & (np.sign(P) == signs), axis=(-2, -1))
 
 
 def fd_gradient(params, data, h=1e-6):

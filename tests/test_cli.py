@@ -474,6 +474,10 @@ class TestExitCodes:
         pytest.param(f"volume orthant --n 4 --m 2 --l 3 --trials {BIG} --seed 2",
                      f"trials must be at most {585 << 64} (2^64 blocks of 585), got {BIG}",
                      id="volume-orthant-trials-huge"),
+        # a block's stream key holds the seed as one 64-bit word
+        pytest.param("volume orthant --n 4 --m 2 --l 3 --trials 10 --seed 18446744073709551616",
+                     "seed must be an integer in [0, 2^64), got 18446744073709551616",
+                     id="volume-orthant-seed-two-to-the-64"),
     ])
     def test_empty_shape_exits_one_before_any_draw(self, tmp_path, capsys, monkeypatch, argv,
                                                    message):

@@ -398,7 +398,18 @@ class TestDeriveSeed:
 
     def test_numpy_integers_are_integers(self):
         assert derive_seed(np.uint32(5), "init", np.int64(0)) == derive_seed(5, "init", 0)
-        assert derive_seed(np.int64(-1), "scan") == derive_seed(-1, "scan")
+        for minus_one in np.int64(-1), -1:
+            with pytest.raises(DomainError, match="non-negative"):
+                derive_seed(minus_one, "scan")
+
+    def test_seed_past_two_to_the_32_enters_whole(self):
+        # its low 32 bits alone would give seed 5's streams
+        assert derive_seed(5 + 2**32, "init", 0) != derive_seed(5, "init", 0)
+
+        def rows(seed):
+            return scan_overparam([4], [1.0], 2, TrainConfig(epochs=3, seed=seed))
+
+        assert rows(5 + 2**32) != rows(5)
 
     def test_numpy_seed_gives_the_same_rows(self):
         def rows(seed):

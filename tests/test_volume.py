@@ -1,6 +1,8 @@
+import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
-from _oracles import coherence_hits_direct, margin_conditioned_columns, three_sigma
+from _oracles import (
+    coherence_hits_direct,
+    margin_conditioned_columns,
+    sign_pattern_three_step,
+    three_sigma,
+)
 from landscape.bounds import beta_angle_bounds
 from landscape import volume
 from landscape.errors import DegenerateData, DomainError
@@ -302,6 +309,18 @@ class TestSignRegionRule:
                   rng.standard_normal(W0.shape), zero_row):
             assert by_pattern.predicate(W) == by_sign.predicate(W)
 
+    def test_one_product_comparison_matches_the_three_step_rule(self):
+        # X = [[1]] makes each W its own pre-activation, so the grid reaches
+        # the predicate as it is: signed zeros, subnormals, infinities, NaN
+        grid = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1.0, -2.5]
+        P = np.array(list(itertools.product(grid, repeat=2)))[:, :, None]
+        for signs in itertools.product([-1.0, 0.0, 1.0, math.nan], repeat=2):
+            signs = np.array(signs)[:, None]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)   # inf * 0 is NaN
+                inside = volume._sign_region(np.ones((1, 1)), signs, 2)(P)
+            np.testing.assert_array_equal(inside, sign_pattern_three_step(P, signs))
+
 
 class TestBlockStreams:
     def test_block_rng_is_reproducible_and_distinct(self):
@@ -474,7 +493,7 @@ def test_pool_size_clamps_to_cpus_and_blocks(monkeypatch):
                                            (4, 16, 64, 4), (8, 32, None, 1)]:
         monkeypatch.setattr(volume.os, "cpu_count", lambda: cpus)
         pools.clear()
-        assert volume._count_hits(no_hit, shape, blocks, 1, workers) == 0
+        assert volume._estimate(no_hit, shape, blocks, 1, workers).hits == 0
         assert pools == ([threads] if threads > 1 else [])
 
 
@@ -519,7 +538,51 @@ def test_trials_past_two_to_the_64_blocks_refused_before_any_draw(monkeypatch):
     heavy = (volume._BLOCK_VALUES + 1,)     # one trial a block
     limit = re.escape(f"trials must be at most {1 << 64} (2^64 blocks of 1), got ")
     with pytest.raises(DomainError, match=f"^{limit}{(1 << 64) + 1}$"):
-        volume._count_hits(no_hit, heavy, (1 << 64) + 1, 1, 1)
+        volume._estimate(no_hit, heavy, (1 << 64) + 1, 1, 1)
+
+
+@pytest.mark.parametrize("blocks", [(1 << 53) + 1, 1 << 64], ids=["2^53+1", "2^64"])
+def test_pool_hands_each_block_to_exactly_one_worker(monkeypatch, blocks):
+    spans = []
+
+    class Recording:          # records each worker's blocks and runs none
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, count, worker_spans):
+            spans.extend(worker_spans)
+            return [0]
+
+    monkeypatch.setattr(volume, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(volume, "block_rng", None)   # any draw would fail differently
+    monkeypatch.setattr(volume.os, "cpu_count", lambda: 2)
+    no_hit = lambda W: np.zeros(len(W), dtype=bool)
+    heavy = (volume._BLOCK_VALUES + 1,)     # one trial a block
+    assert volume._estimate(no_hit, heavy, blocks, 1, 2).hits == 0
+    assert len(spans) == 2
+    # len() of a range stops at 2^63 - 1
+    assert sum((r[-1] - r[0]) // r.step + 1 for r in spans if r) == blocks
+    assert all(0 <= r[0] and r[-1] < blocks for r in spans if r)
+    for b in 0, 1, (1 << 53) - 1, 1 << 53, blocks - 2, blocks - 1:
+        assert sum(b in r for r in spans) == 1
+
+
+@pytest.mark.parametrize("seed", [1 << 64, (1 << 64) + 5, -1, 2.0])
+def test_seed_outside_one_key_word_refused_before_any_draw(monkeypatch, seed):
+    monkeypatch.setattr(volume, "block_rng", None)   # any draw would fail differently
+    with pytest.raises(DomainError, match=r"^seed must be an integer in \[0, 2\^64\), got "):
+        estimate_orthant_probability(1, 1, 1, 1000, seed=seed)
+
+
+def test_largest_seed_is_drawn():
+    top = estimate_orthant_probability(1, 1, 1, 1000, seed=(1 << 64) - 1)
+    assert top.seed == (1 << 64) - 1 and 0 < top.hits < 1000
 
 
 def test_resolve_workers(monkeypatch):
