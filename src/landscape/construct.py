@@ -223,11 +223,16 @@ def angular_margin(X, Wstar):
 
     Raises
     ------
+    DomainError
+        If Wstar is not (d1, d0) and X not (d0, N) with d1 and N at least 1.
     DegenerateData
         If a column of X or row of Wstar has zero norm.
     """
     X = np.asarray(X, dtype=float)
     Wstar = np.asarray(Wstar, dtype=float)
+    if X.ndim != 2 or Wstar.ndim != 2 or Wstar.shape[1] != X.shape[0]:
+        raise DomainError(f"Wstar must be (d1, d0) and X (d0, N), got {Wstar.shape} and {X.shape}")
+    require_at_least(1, d1=Wstar.shape[0], N=X.shape[1])
     col_norms = _column_norms(X)
     row_norms = np.linalg.norm(Wstar, axis=1)
     if np.any(col_norms == 0.0) or np.any(row_norms == 0.0):

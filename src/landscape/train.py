@@ -18,7 +18,8 @@ from itertools import product
 import numpy as np
 
 from .errors import DomainError, NonFinite, require_at_least
-from .network import Dataset, NetParams, backward, evaluate, mean_square, misclassified
+from .network import (Dataset, ForwardBuffers, GradientBuffers, NetParams, backward, evaluate,
+                      mean_square, misclassified)
 
 # Learning-rate shrink factor applied across the whole decay phase.
 DECAY_TOTAL_FACTOR = 1e-3
@@ -108,17 +109,33 @@ class Adam:
         self.t = 0
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
+        self._delta = np.empty(shape)
+        self._tmp = np.empty(shape)
 
     def step(self, grad, lr):
-        """Bias-corrected update at learning rate lr, to add to the parameters."""
+        """Bias-corrected update at learning rate lr, to add to the parameters.
+
+        The update lives in a buffer of the optimizer's own, valid until the
+        next step.  m and v are updated in place, in the order
+        m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g, and the update is
+        (-lr (m / c1)) / (sqrt(v / c2) + eps).
+        """
         self.t += 1
         c1 = 1.0 - ADAM_BETA1 ** self.t
         c2 = 1.0 - ADAM_BETA2 ** self.t
-        self.m *= ADAM_BETA1
-        self.m += (1.0 - ADAM_BETA1) * grad
-        self.v *= ADAM_BETA2
-        self.v += (1.0 - ADAM_BETA2) * grad * grad
-        return -lr * (self.m / c1) / (np.sqrt(self.v / c2) + ADAM_EPS)
+        m, v, delta, tmp = self.m, self.v, self._delta, self._tmp
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, grad, out=tmp)
+        v *= ADAM_BETA2
+        v += np.multiply(np.multiply(1.0 - ADAM_BETA2, grad, out=tmp), grad, out=tmp)
+        np.multiply(-lr, np.divide(m, c1, out=delta), out=delta)
+        delta /= np.add(np.sqrt(np.divide(v, c2, out=tmp), out=tmp), ADAM_EPS, out=tmp)
+        return delta
+
+    def keep(self, rows):
+        """Keep the state of these rows of a stacked parameter array, dropping the rest."""
+        self.m, self.v = self.m[rows], self.v[rows]
+        self._delta, self._tmp = np.empty_like(self.m), np.empty_like(self.m)
 
 
 # The entropy word of each seed label: its first 4 bytes, little-endian, the
@@ -182,7 +199,8 @@ def adam_train(params, data, config):
     Raises
     ------
     DomainError
-        If params.rho differs from config.rho.
+        If params.rho differs from config.rho, or params.W has a column
+        count other than data.X's row count.
     NonFinite
         If the epoch loss becomes NaN or infinite.
     """
@@ -197,22 +215,42 @@ def _adam_train_stack(params, datasets, config, seeds):
     operation acts on each member's slice alone.  The members sit on a
     leading axis, so one mini-batch step is one round of numpy calls for
     all of them; a member that stops early leaves the stack.
+
+    A step allocates nothing.  network.evaluate and backward, which still
+    hold the only copy of the forward and gradient math, write into
+    buffers built for the stack's shape; backward writes the gradient
+    straight into the flat array Adam steps on; Adam updates in place; and
+    each mini-batch is a fixed view of the epoch's shuffled samples.  All
+    of these are built again when a member leaves.
+
+    Raises
+    ------
+    DomainError
+        If a member's leak differs from config.rho, its W has a column count
+        other than its X's row count, or its (d1, d0, N) differs from the
+        first member's; before any step.
     """
     rho = config.rho
     if any(p.rho != rho for p in params):
         raise DomainError(f"every member must have leak config.rho = {rho!r}")
     d1, d0 = params[0].W.shape
     N = datasets[0].n_samples
-    size_W = d1 * d0
+    for k, (p, data) in enumerate(zip(params, datasets)):
+        if p.d0 != data.d0:
+            raise DomainError(f"member {k}: W has {p.d0} columns but X has {data.d0} rows")
+        if (p.d1, p.d0, data.n_samples) != (d1, d0, N):
+            raise DomainError(f"member {k} has (d1, d0, N) = {(p.d1, p.d0, data.n_samples)}, "
+                              f"member 0 has {(d1, d0, N)}")
     # each member's W and z are views of one row, and so are their
     # gradients, so each Adam step is one pass over all the parameters
     theta = np.stack([np.concatenate([p.W.ravel(), p.z]) for p in params])
-    grad = np.empty_like(theta)
     # each epoch's shuffled samples, one row per sample, so that every
     # mini-batch is a slice
     X_perm = np.empty((len(params), N, d0))
     y_perm = np.empty((len(params), N))
     batch = max(1, min(N // 2, d1 // 2))      # at most N, since N >= 1
+    W, z, grad, fwd, bwd, batches = _step_views(theta, X_perm, y_perm, d1, batch)
+    full = ForwardBuffers((), d1, N)          # one member's epoch evaluation
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
     opt = Adam(theta.shape)
@@ -230,23 +268,21 @@ def _adam_train_stack(params, datasets, config, seeds):
     for epoch in range(config.epochs):
         if epoch >= decay_start:
             lr *= decay_q
-        W = theta[:, :size_W].reshape(-1, d1, d0)
-        z = theta[:, size_W:]
-        grad_W = grad[:, :size_W].reshape(-1, d1, d0)
-        grad_z = grad[:, size_W:]
+        # mode "clip" cannot move a permutation's indices, and spares take
+        # the copy of its output that the default mode makes
         for row, k in enumerate(members):
             perm = rngs[k].permutation(N)
-            np.take(datasets[k].X.T, perm, axis=0, out=X_perm[row])
-            np.take(datasets[k].y, perm, out=y_perm[row])
-        for start in range(0, N - batch + 1, batch):
-            Xb = X_perm[:, start:start + batch].swapaxes(1, 2)
-            _, A, H, yhat = evaluate(W, z, rho, Xb)
-            grad_W[...], grad_z[...] = backward(z, Xb, A, H, y_perm[:, start:start + batch] - yhat)
+            np.take(datasets[k].X.T, perm, axis=0, out=X_perm[row], mode="clip")
+            np.take(datasets[k].y, perm, out=y_perm[row], mode="clip")
+        for Xb, yb in batches:
+            _, A, H, yhat = evaluate(W, z, rho, Xb, fwd)
+            np.subtract(yb, yhat, out=bwd.e)
+            backward(z, Xb, A, H, bwd.e, bwd)
             theta += opt.step(grad, lr)
         stay = []
         for row, k in enumerate(members):
             data = datasets[k]
-            P, _, _, yhat = evaluate(W[row], z[row], rho, data.X)
+            P, _, _, yhat = evaluate(W[row], z[row], rho, data.X, full)
             epoch_mse = mean_square(data.y - yhat)
             if not np.isfinite(epoch_mse):
                 raise NonFinite(epoch)
@@ -263,9 +299,30 @@ def _adam_train_stack(params, datasets, config, seeds):
             break
         if len(stay) < len(members):
             members = [members[row] for row in stay]
-            theta, grad, X_perm, y_perm = theta[stay], grad[stay], X_perm[stay], y_perm[stay]
-            opt.m, opt.v = opt.m[stay], opt.v[stay]
+            theta, X_perm, y_perm = theta[stay], X_perm[stay], y_perm[stay]
+            opt.keep(stay)
+            W, z, grad, fwd, bwd, batches = _step_views(theta, X_perm, y_perm, d1, batch)
     return results
+
+
+def _step_views(theta, X_perm, y_perm, d1, batch):
+    """What a mini-batch step on the stack in theta reads and writes, built once.
+
+    Returns W and z as views of theta; the flat gradient; the forward
+    buffers; the gradient buffers, whose dW and dz are views of that
+    gradient; and each mini-batch's X (S, d0, batch) and y (S, batch) as
+    views of X_perm and y_perm, whose contents change every epoch while the
+    views stay.
+    """
+    S, N, d0 = X_perm.shape
+    size_W = d1 * d0
+    grad = np.empty_like(theta)
+    bwd = GradientBuffers((S,), d1, d0, batch,
+                          dW=grad[:, :size_W].reshape(S, d1, d0), dz=grad[:, size_W:])
+    batches = [(X_perm[:, start:start + batch].swapaxes(1, 2), y_perm[:, start:start + batch])
+               for start in range(0, N - batch + 1, batch)]
+    return (theta[:, :size_W].reshape(S, d1, d0), theta[:, size_W:], grad,
+            ForwardBuffers((S,), d1, batch), bwd, batches)
 
 
 def _run_cell(d, N, config, path, seeds):

@@ -151,11 +151,13 @@ def _estimate(event, shape, trials, seed, workers,
 
     draw(rng, (n, *shape)) makes one block's stack from its stream: n
     standard Gaussian arrays of shape unless another draw is given.  A
-    seed outside [0, 2^64) or a trials count past 2^64 blocks is refused
-    before any draw: each is one 64-bit word of a block's stream key.
+    seed that is not an integer in [0, 2^64) (a bool is none) or a trials
+    count past 2^64 blocks is refused before any draw: each is one 64-bit
+    word of a block's stream key.
     """
     require_at_least(1, trials=trials)
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 1 << 64):
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+            and 0 <= seed < 1 << 64):
         raise DomainError(f"seed must be an integer in [0, 2^64), got {seed}")
     values = math.prod(shape)
     size = max(1, _BLOCK_VALUES // values)

@@ -473,6 +473,17 @@ class TestAngularMargin:
         with pytest.raises(DegenerateData, match="^angular margin undefined for zero rows or columns$"):
             angular_margin(np.array([[0.0], [0.0]]), np.array([[1.0, 0.0]]))
 
+    @pytest.mark.parametrize("X_shape, W_shape, message", [
+        pytest.param((2, 3), (0, 2), "^d1 must be at least 1, got 0$", id="no-weight-rows"),
+        pytest.param((2, 0), (1, 2), "^N must be at least 1, got 0$", id="no-samples"),
+        pytest.param((2, 3), (1, 3), r"^Wstar must be \(d1, d0\) and X \(d0, N\), got \(1, 3\) "
+                     r"and \(2, 3\)$", id="d0-mismatch"),
+        pytest.param((2,), (1, 2), r"got \(1, 2\) and \(2,\)$", id="vector-X"),
+    ])
+    def test_bad_shapes_refused_before_any_product(self, X_shape, W_shape, message):
+        with pytest.raises(DomainError, match=message):
+            angular_margin(np.ones(X_shape), np.ones(W_shape))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_column_keeps_its_angle(self):
         # the angle of a column does not depend on its length, even past the

@@ -6,6 +6,8 @@ from landscape.errors import DomainError
 from landscape.linalg import numerical_rank
 from landscape.network import (
     Dataset,
+    ForwardBuffers,
+    GradientBuffers,
     NetParams,
     activation_slopes,
     backward,
@@ -206,6 +208,31 @@ class TestStacks:
                 for stacked, alone in [(P[s], P_s), (A[s], A_s), (H[s], H_s), (yhat[s], yhat_s),
                                        (dW[s], dW_s), (dz[s], dz_s)]:
                     np.testing.assert_array_equal(stacked, alone)
+
+    def test_buffers_give_the_bits_of_fresh_arrays(self):
+        # evaluate and backward writing into buffers, dW and dz being views
+        # of one flat gradient, return what they return without buffers;
+        # the second round overwrites the first, and a residual other than
+        # out.e is copied in first
+        rng = np.random.default_rng(13)
+        S, d1, d0, N = 3, 7, 5, 4
+        flat = np.empty((S, d1 * d0 + d1))
+        fwd = ForwardBuffers((S,), d1, N)
+        bwd = GradientBuffers((S,), d1, d0, N, dW=flat[:, :d1 * d0].reshape(S, d1, d0),
+                              dz=flat[:, d1 * d0:])
+        for rho in 0.0, 0.3:
+            W = rng.standard_normal((S, d1, d0))
+            z = rng.standard_normal((S, d1))
+            X = rng.standard_normal((S, N, d0)).swapaxes(1, 2)
+            e = rng.standard_normal((S, N))
+            fresh = evaluate(W, z, rho, X)
+            fresh += backward(z, X, fresh[1], fresh[2], e)
+            got = evaluate(W, z, rho, X, fwd)
+            got += backward(z, X, got[1], got[2], e, bwd)
+            assert got[0] is fwd.P and got[3] is fwd.yhat and got[4] is bwd.dW
+            for a, b in zip(got, fresh):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(flat[:, d1 * d0:], fresh[5])
 
 
 class TestStructuralIdentities:

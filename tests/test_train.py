@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -179,6 +180,21 @@ class TestStackedTraining:
             alone = adam_train(params[k], datasets[k], replace(config, seed=seeds[k]))
             self._assert_same(stacked[k], alone)
 
+    def test_members_that_stop_early_pinned(self):
+        # the stack above, pinned to the last bit as TestPinnedOutputs is:
+        # comparing it with lone runs cannot catch a change to the shared step
+        config = TrainConfig(epochs=300, lr=0.01, rho=0.1)
+        params, datasets, seeds = self._members(range(4), rho=0.1)
+        stacked = _adam_train_stack(params, datasets, config, seeds)
+        assert [r.epochs_run for _, r in stacked] == [300, 74, 54, 148]
+        assert [_digest(t.W, t.z, np.array(r.history), [r.min_neural_input])
+                for t, r in stacked] == [
+            "f03ad3351189fa31599f6ba07af38f745ae832841c2ea4aa4d27b4a9994ee6c3",
+            "d7482f159bdadaf662ad2b2abef3ea7baff3502dc4a8de305f0e051f35eaf4dc",
+            "f06cb7d47450cdd62e54521e35ff7e98d73a75ddfafe73f7e03f22338aee9a84",
+            "03984f0f91de9b40cfaeaabeceaca749a48b50ac42543962300f4a839c39df21",
+        ]
+
     def test_decay_phase_without_early_stop(self):
         config = TrainConfig(epochs=60, lr=0.02, lr_decay_epochs=30, rho=0.0,
                              stop_on_zero_mce=False)
@@ -204,12 +220,38 @@ class TestStackedTraining:
         with pytest.raises(DomainError, match="rho"):
             adam_train(params[1], datasets[1], TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("shapes, message", [
+        pytest.param([(4, 3, 5, 10)], r"member 0: W has 3 columns but X has 5 rows",
+                     id="lone-d0-mismatch"),
+        pytest.param([(6, 6, 6, 20), (6, 6, 5, 20)], r"member 1: W has 6 columns but X has 5",
+                     id="second-d0-mismatch"),
+        pytest.param([(6, 6, 6, 20), (5, 6, 6, 20)],
+                     r"member 1 has \(d1, d0, N\) = \(5, 6, 20\), member 0 has \(6, 6, 20\)",
+                     id="d1-differs"),
+        pytest.param([(6, 6, 6, 20), (6, 5, 5, 20)], r"\(6, 5, 20\), member 0", id="d0-differs"),
+        pytest.param([(6, 6, 6, 20), (6, 6, 6, 21)], r"\(6, 6, 21\), member 0", id="N-differs"),
+    ])
+    def test_member_shapes_checked_before_any_step(self, monkeypatch, shapes, message):
+        from landscape import train
+
+        # (d1, d0 of W, d0 of X, N) per member
+        params = [he_init(d1, d0, seed=1) for d1, d0, _, _ in shapes]
+        datasets = [gen_gaussian_dataset(d0, N, seed=2) for _, _, d0, N in shapes]
+        monkeypatch.setattr(train, "evaluate", None)    # a step would raise TypeError
+        with pytest.raises(DomainError, match=message):
+            _adam_train_stack(params, datasets, TrainConfig(epochs=2), range(len(shapes)))
+
 
 def _digest(*arrays):
     h = hashlib.sha256()
     for a in arrays:
         h.update(np.ascontiguousarray(a, dtype=float).tobytes())
     return h.hexdigest()
+
+
+def _json_digest(rows):
+    """sha256 of rows as sorted-key JSON, whose floats round-trip exactly."""
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
 
 
 class TestPinnedOutputs:
@@ -248,6 +290,19 @@ class TestPinnedOutputs:
         dW, dz = backward(params.z, data.X, A, H, data.y - yhat)
         assert _digest(dW, dz) == (
             "44c6e05b0f0a87571a2bfd818e66987193359c66bc9cca513dda1b0b29dc14fa")
+
+    def test_scan_rows(self):
+        # two early-stopping cells and two that run their whole budget
+        rows = scan_overparam([4, 6], [0.5, 2.0], seeds=3, config=TrainConfig(epochs=150, seed=11))
+        assert [row["mce_values"][0] for row in rows] == [0.0, 0.21875, 0.0, 0.16666666666666666]
+        assert _json_digest(rows) == (
+            "e3883101489a5f67b1de7c21e677250c838d5146c16de910d662519bb9b97540")
+
+    def test_diagnostic_rows(self):
+        config = TrainConfig(epochs=80, lr_decay_epochs=40, seed=4, rho=0.3,
+                             stop_on_zero_mce=False)
+        assert _json_digest(dlm_diagnostic(6, seeds=3, config=config)) == (
+            "a8d999cd805598e5343379e980165e5f8075e6deca84a279660b880bea508514")
 
     def test_dlm_condition(self):
         report = dlm_condition(*self._instance())

@@ -573,7 +573,7 @@ def test_pool_hands_each_block_to_exactly_one_worker(monkeypatch, blocks):
         assert sum(b in r for r in spans) == 1
 
 
-@pytest.mark.parametrize("seed", [1 << 64, (1 << 64) + 5, -1, 2.0])
+@pytest.mark.parametrize("seed", [1 << 64, (1 << 64) + 5, -1, 2.0, True])
 def test_seed_outside_one_key_word_refused_before_any_draw(monkeypatch, seed):
     monkeypatch.setattr(volume, "block_rng", None)   # any draw would fail differently
     with pytest.raises(DomainError, match=r"^seed must be an integer in \[0, 2\^64\), got "):
