@@ -3,10 +3,12 @@
 Every command is one handler whose keyword parameters are its inputs: the
 flags of an argv command (data_seed is --data-seed), the keys of a JSON
 command's config file.  Every command builds a RunRecord with its seed
-and those inputs.  Rerunning with the recorded values reproduces all numeric
-outputs bit for bit in single-threaded mode.  Structured results go to a
-JSON document, plot-ready tables to CSV, both written atomically (temp
-file and rename), and the outputs object is printed to stdout.
+and, as config, each of those inputs that holds a value, so one rule
+replays any record: _call(handler, record.config, ...).  Rerunning with the
+recorded values reproduces all numeric outputs bit for bit in
+single-threaded mode.  Structured results go to a JSON document, plot-ready
+tables to CSV, both written atomically (temp file and rename), and the
+outputs object is printed to stdout.
 """
 
 import argparse
@@ -161,16 +163,16 @@ def _csv_dataset(*, path: str):
 # ---------------------------------------------------------------------------
 # commands
 
-def construct(*, data: str = None, d0: int = None, n: int = None, data_seed: Seed = 0,
+def construct(*, data: str = None, d0: int = None, n: int = None, data_seed: Seed = None,
               rho: float = 0.0, target_d1: int = None, seed: Seed = 0):
     if data is not None:
-        if d0 is not None or n is not None:
-            raise DomainError("--data and --d0/--n are mutually exclusive")
+        if d0 is not None or n is not None or data_seed is not None:
+            raise DomainError("--data and --d0/--n/--data-seed are mutually exclusive")
         dataset = _csv_dataset(path=data)
     else:
         if d0 is None or n is None:
             raise DomainError("construct needs --data or both --d0 and --n")
-        dataset = _gaussian_dataset(d0=d0, n=n, seed=data_seed)
+        dataset = _gaussian_dataset(d0=d0, n=n, seed=0 if data_seed is None else data_seed)
     built = construct_mod.build_global_minimum(dataset, rho=rho, target_d1=target_d1, seed=seed)
     outputs = {
         "d1_star": built.d1_star,
@@ -236,14 +238,12 @@ def cmd_config(args):
 
 
 def cmd_kind(args):
-    """RunRecord of an argv command: its handler's outputs, with every flag that holds a value."""
-    config = {k: v for k, v in vars(args).items()
-              if k not in {"func", "handler", "out", "workers"} and v is not None}
-    kind = config.get(f"{args.command}_kind")
+    """RunRecord of an argv command: its handler's outputs, with every input that holds a value."""
+    inputs = {name: getattr(args, name) for name in inspect.signature(args.handler).parameters}
+    config = {k: v for k, v in inputs.items() if k != "workers" and v is not None}
+    kind = getattr(args, f"{args.command}_kind", None)
     command = f"{args.command} {kind}" if kind else args.command
-    params = inspect.signature(args.handler).parameters
-    outputs = args.handler(**{name: getattr(args, name) for name in params})
-    return RunRecord(command, config, config.get("seed", 0), outputs=outputs), None
+    return RunRecord(command, config, config.get("seed", 0), outputs=args.handler(**inputs)), None
 
 
 def _gaussian_instance(seed, d0, n, rows):
@@ -253,28 +253,14 @@ def _gaussian_instance(seed, d0, n, rows):
     return X, rng.standard_normal((rows, d0))
 
 
-def volume_angular(*, d0: int, d1: int, n: int, pattern_seed: Seed = 0,
-                   trials: int, seed: Seed, workers: int = None):
-    X, W0 = _gaussian_instance(pattern_seed, d0, n, d1)
-    region = volume_mod.RegionSpec.from_activation_pattern(activation_slopes(W0 @ X, 0.5), X)
-    est = volume_mod.estimate_angular_volume(region, trials, seed, workers)
-    return {"estimate": asdict(est), "bound": None}
-
-
-def volume_global(*, d0: int, d1star: int, d1: int = None, n: int, pattern_seed: Seed = 0,
+def volume_global(*, d0: int, d1star: int, n: int, pattern_seed: Seed = 0,
                   trials: int, seed: Seed, workers: int = None):
     X, Wstar = _gaussian_instance(pattern_seed, d0, n, d1star)
-    region = volume_mod.RegionSpec.from_sign_match(X, Wstar, d1=d1)
+    region = volume_mod.RegionSpec.from_sign_match(X, Wstar)
     sin_alpha = construct_mod.angular_margin(X, Wstar).sin_alpha
-    exact, asymptotic_log = bounds_mod.global_volume_lower_bound(d0, d1star, sin_alpha)
-    bound = {
-        "sin_alpha": sin_alpha,
-        "lower_exact": exact,
-        "lower_log": bounds_mod.global_volume_log_lower_bound(d0, d1star, sin_alpha),
-        "asymptotic_log": asymptotic_log,
-    }
+    bound = bounds_global_lower(d0=d0, d1star=d1star, sin_alpha=sin_alpha)
     est = volume_mod.estimate_angular_volume(region, trials, seed, workers)
-    return {"estimate": asdict(est), "bound": bound}
+    return {"estimate": asdict(est), "bound": {"sin_alpha": sin_alpha, **bound}}
 
 
 def volume_orthant(*, n: int, m: int, l: int, trials: int, seed: Seed, workers: int = None):
@@ -354,12 +340,12 @@ def bounds_orthant(*, n: int, m: int, l: int):
     return {"log": bounds_mod.orthant_probability_log_bound(n, m, l)}
 
 
-def bounds_beta(*, d0: int, which: ("lower", "upper"), angle: float = None, u: float = None):
-    value = angle if which == "lower" else u
-    if value is None:
-        flag = "--angle (radians)" if which == "lower" else "--u"
-        raise DomainError(f"bounds beta --which {which} needs {flag}")
-    return {"bound": bounds_mod.beta_angle_bounds(d0, value, which)}
+def bounds_beta_lower(*, d0: int, angle: float):
+    return {"bound": bounds_mod.beta_angle_bounds(d0, angle, "lower")}
+
+
+def bounds_beta_upper(*, d0: int, u: float):
+    return {"bound": bounds_mod.beta_angle_bounds(d0, u, "upper")}
 
 
 def rank_oracle(*, d0: int, d1: int, n: int, rho: float = 0.5, seed: Seed = 0):
@@ -377,7 +363,6 @@ def rank_oracle(*, d0: int, d1: int, n: int, rho: float = 0.5, seed: Seed = 0):
 
 
 VOLUME = {
-    "angular": volume_angular,
     "global": volume_global,
     "orthant": volume_orthant,
     "coherence": volume_coherence,
@@ -394,7 +379,8 @@ BOUNDS = {
     "dichotomy": bounds_dichotomy,
     "coherence-tail": bounds_coherence_tail,
     "orthant": bounds_orthant,
-    "beta": bounds_beta,
+    "beta-lower": bounds_beta_lower,
+    "beta-upper": bounds_beta_upper,
 }
 
 
@@ -402,6 +388,11 @@ BOUNDS = {
 # parser
 
 class _Parser(argparse.ArgumentParser):
+    """Takes each flag by its full name only (--d1 is not --d1star), and raises DomainError."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise DomainError(message)
 
@@ -410,17 +401,14 @@ def _kind_parser(sub, name, handler, **kwargs):
     """Subparser for one argv command, its flags read off the handler's keyword parameters.
 
     Parameter data_seed is flag --data-seed, of the parameter's annotated
-    type (a tuple annotation lists the flag's choices); a parameter with no
-    default is a required flag.  --out is added to every command, and
-    cmd_kind runs and records it.
+    type; a parameter with no default is a required flag.  --out is added
+    to every command, and cmd_kind runs and records it.
     """
     p = sub.add_parser(name, **kwargs)
     for param in inspect.signature(handler).parameters.values():
-        kind = param.annotation
-        typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
         required = param.default is param.empty
         p.add_argument("--" + param.name.replace("_", "-"), required=required,
-                       default=None if required else param.default, **typed)
+                       default=None if required else param.default, type=param.annotation)
     p.add_argument("--out", help="RunRecord JSON path")
     p.set_defaults(func=cmd_kind, handler=handler)
 

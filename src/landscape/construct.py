@@ -149,12 +149,13 @@ def _build_stack(XT, floor, groups, rng):
     return blocks
 
 
-def build_global_minimum(data, rho, target_d1=None, seed=None):
+def build_global_minimum(data, rho, target_d1=None, seed=0):
     """Construct (W*, z*) whose outputs on X are y exactly.
 
     The hidden width is 4 * ceil(|S+| / (d0 - 1)) where S+ is the positive
     class; pass target_d1 to pad with Gaussian rows carrying zero output
-    weight.
+    weight.  The padding rows and any redrawn in-hyperplane normals come
+    from default_rng(seed), so a rerun with the same seed is bit-identical.
 
     The full-size groups are built as one stack and the shorter last group,
     if any, as a stack of one (_build_stack).  The result, the generator's

@@ -27,9 +27,9 @@ class DegenerateData(NumericalError):
 class NonFinite(NumericalError):
     """Training loss became NaN or infinite."""
 
-    def __init__(self, epoch, message=None):
+    def __init__(self, epoch):
         self.epoch = epoch
-        super().__init__(message or f"loss became non-finite at epoch {epoch}")
+        super().__init__(f"loss became non-finite at epoch {epoch}")
 
 
 def require_at_least(low, **counts):

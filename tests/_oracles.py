@@ -258,7 +258,7 @@ def _bordered_offset(w_unit, M, w_hat, s):
     return solve_linear(np.vstack([M, w_unit]), np.concatenate([np.ones(len(M)), [0.0]]))
 
 
-def build_global_minimum_per_block(data, rho, target_d1=None, seed=None,
+def build_global_minimum_per_block(data, rho, target_d1=None, seed=0,
                                    offset=_min_norm_offset):
     """The zero-error construction built one block at a time, in group order.
 
@@ -319,7 +319,7 @@ def build_global_minimum_per_block(data, rho, target_d1=None, seed=None,
     return Construction(params, blocks, d1_star, yhat, min_neural_input)
 
 
-def build_global_minimum_bordered(data, rho, target_d1=None, seed=None):
+def build_global_minimum_bordered(data, rho, target_d1=None, seed=0):
     """The per-block construction with each w_hat from a bordered solve.
 
     The construction as it was before w_hat came from the null-space SVD:

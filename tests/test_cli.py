@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from landscape import errors
+from landscape import cli, errors
 from landscape.cli import RunRecord, load_dataset_csv, main, write_atomic
 from landscape.errors import DomainError
 from landscape.network import Dataset
@@ -25,26 +25,29 @@ def write_dataset_csv(path, data):
 
 # Outputs objects recorded with the if/elif dispatcher these handlers replaced;
 # the volume entries are recorded under the per-block Monte Carlo streams, and
-# coherence under its triangular-factor draw.
+# coherence under its triangular-factor draw.  The first volume global estimate
+# equals, bit for bit, that of the activation-pattern region of the same draws.
 PINNED_KIND_OUTPUTS = [
-    ("volume angular --d0 3 --d1 2 --n 4 --pattern-seed 3 --trials 3000 --seed 4",
-     {"bound": None,
+    ("volume global --d0 3 --d1star 2 --n 4 --pattern-seed 3 --trials 3000 --seed 4",
+     {"bound": {"asymptotic_log": -19.845811742457972,
+                "exact": 4.4873401329021087e-07,
+                "log": -14.616835522758539,
+                "sin_alpha": 0.03660262607705163},
       "estimate": {"ci_high": 0.02190440564666782,
                    "ci_low": 0.012665148121147283,
                    "estimate": 0.016666666666666666,
                    "hits": 50,
                    "seed": 4,
                    "trials": 3000}}),
-    ("volume global --d0 3 --d1star 2 --d1 3 --n 4 --pattern-seed 5 --trials 3000 --seed 6 "
-     "--workers 2",
+    ("volume global --d0 3 --d1star 2 --n 4 --pattern-seed 5 --trials 3000 --seed 6 --workers 2",
      {"bound": {"asymptotic_log": -14.644368640303018,
-                "lower_exact": 1.4386694263972264e-05,
-                "lower_log": -11.149206787988572,
+                "exact": 1.4386694263972264e-05,
+                "log": -11.149206787988572,
                 "sin_alpha": 0.08709741215865166},
-      "estimate": {"ci_high": 0.0038958152886360608,
-                   "ci_low": 0.0007121039409388158,
-                   "estimate": 0.0016666666666666668,
-                   "hits": 5,
+      "estimate": {"ci_high": 0.004356803060841335,
+                   "ci_low": 0.000916930269583324,
+                   "estimate": 0.002,
+                   "hits": 6,
                    "seed": 6,
                    "trials": 3000}}),
     ("volume orthant --n 4 --m 2 --l 3 --trials 2000 --seed 2",
@@ -95,9 +98,9 @@ PINNED_KIND_OUTPUTS = [
      {"tail": 0.027654218507391675}),
     ("bounds orthant --n 4 --m 2 --l 3",
      {"log": -1.7706910715205144}),
-    ("bounds beta --d0 3 --which lower --angle 0.5",
+    ("bounds beta-lower --d0 3 --angle 0.5",
      {"bound": 0.11492442353296504}),
-    ("bounds beta --d0 3 --which upper --u 0.2",
+    ("bounds beta-upper --d0 3 --u 0.2",
      {"bound": 0.19999999999999987}),
 ]
 
@@ -240,6 +243,18 @@ class TestConstructCommand:
         assert rc == 1
         assert "mutually exclusive" in capsys.readouterr().err
 
+    def test_data_refuses_a_data_seed_it_would_not_read(self, tmp_path, capsys):
+        csv_path = tmp_path / "x.csv"
+        write_dataset_csv(csv_path, gen_gaussian_dataset(3, 10, seed=1))
+        assert run_cli("construct", "--data", str(csv_path)) == 0
+        capsys.readouterr()
+        out = tmp_path / "never.json"
+        rc = run_cli("construct", "--data", str(csv_path), "--data-seed", "9", "--out", str(out))
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--data-seed" in err, err
+
     def test_d0_below_two_exits_one_naming_d0(self, tmp_path, capsys):
         out = tmp_path / "never.json"
         assert run_cli("construct", "--d0", "1", "--n", "5", "--out", str(out)) == 1
@@ -334,7 +349,7 @@ class TestVolumeCommands:
 
     def test_angular_and_global_and_margin(self, tmp_path):
         for argv in (
-            ("volume", "angular", "--d0", "2", "--d1", "1", "--n", "2",
+            ("volume", "global", "--d0", "2", "--d1star", "1", "--n", "2",
              "--pattern-seed", "3", "--trials", "2000", "--seed", "4"),
             ("volume", "global", "--d0", "3", "--d1star", "1", "--n", "2",
              "--pattern-seed", "5", "--trials", "2000", "--seed", "6"),
@@ -413,8 +428,8 @@ class TestExitCodes:
         pytest.param("rank-oracle --d0 3 --d1 2 --n 5 --seed -3", id="rank-oracle-seed-negative"),
         pytest.param("volume orthant --n 4 --m 2 --l 3 --trials 20 --seed -1",
                      id="volume-seed-negative"),
-        pytest.param("volume angular --d0 3 --d1 2 --n 4 --pattern-seed -1 --trials 10 --seed 1",
-                     id="volume-pattern-seed-negative"),
+        pytest.param("volume global --d0 3 --d1star 2 --n 4 --pattern-seed -1 --trials 10 "
+                     "--seed 1", id="volume-pattern-seed-negative"),
         # a count too large for a float
         pytest.param(f"bounds suboptimal --n {BIG} --d0 3 --d1 3 --epsilon 0.1 --rho 0",
                      id="suboptimal-n-huge"),
@@ -426,13 +441,31 @@ class TestExitCodes:
         pytest.param(f"bounds orthant --n 4 --m {BIG} --l 3", id="orthant-m-huge"),
         pytest.param(f"bounds global-lower --d0 {BIG} --d1star 2 --sin-alpha 0.5",
                      id="global-lower-d0-huge"),
-        pytest.param(f"bounds beta --d0 {BIG} --which upper --u 0.2", id="beta-d0-huge"),
+        pytest.param(f"bounds beta-upper --d0 {BIG} --u 0.2", id="beta-d0-huge"),
+        # commands folded into others: volume global, bounds beta-lower and beta-upper
+        pytest.param("volume angular --d0 3 --d1 2 --n 4 --pattern-seed 3 --trials 30 --seed 4",
+                     id="volume-angular"),
+        pytest.param("bounds beta --d0 3 --which upper --u 0.2", id="bounds-beta-which"),
     ])
     def test_bad_flags_exit_one_without_artifact(self, tmp_path, capsys, argv):
         out = tmp_path / "never.json"
         assert run_cli(*argv.split(), "--out", str(out)) == 1
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv, unread", [
+        pytest.param("volume global --d0 3 --d1star 2 --n 4 --pattern-seed 5 --trials 30 --seed 6",
+                     "--d1 3", id="volume-global-d1"),
+        pytest.param("bounds beta-upper --d0 3 --u 0.3", "--angle 7", id="beta-upper-angle"),
+        pytest.param("bounds beta-lower --d0 3 --angle 0.5", "--u 0.3", id="beta-lower-u"),
+    ])
+    def test_flag_the_command_does_not_read_exits_one(self, tmp_path, capsys, argv, unread):
+        assert run_cli(*argv.split()) == 0
+        capsys.readouterr()
+        out = tmp_path / "never.json"
+        assert run_cli(*argv.split(), *unread.split(), "--out", str(out)) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {unread}\n"
 
     @pytest.mark.parametrize("argv, flags", [
         pytest.param(f"bounds suboptimal --n {BIG} --d0 3 --d1 3 --epsilon 0.1 --rho 0", "--n",
@@ -447,8 +480,8 @@ class TestExitCodes:
                      id="volume-coherence-n-huge"),
         pytest.param(f"volume margin --d0 3 --d1star 1 --n {BIG} --sin-alpha 0.1 --trials 10 "
                      "--seed 1", "--n", id="volume-margin-n-huge"),
-        pytest.param(f"volume angular --d0 3 --d1 2 --n {BIG} --trials 10 --seed 1", "--n",
-                     id="volume-angular-n-huge"),
+        pytest.param(f"volume global --d0 3 --d1star 2 --n {BIG} --trials 10 --seed 1", "--n",
+                     id="volume-global-n-huge"),
     ])
     def test_count_past_double_range_names_its_flag(self, tmp_path, capsys, argv, flags):
         out = tmp_path / "never.json"
@@ -466,10 +499,8 @@ class TestExitCodes:
                      "N must be at least 1, got 0", id="volume-margin-n0"),
         pytest.param("volume global --d0 3 --d1star 2 --n 0 --trials 10 --seed 1",
                      "N must be at least 1, got 0", id="volume-global-n0"),
-        pytest.param("volume angular --d0 0 --d1 2 --n 4 --trials 10 --seed 1",
-                     "d0 must be at least 1, got 0", id="volume-angular-d0-0"),
-        pytest.param("volume angular --d0 3 --d1 2 --n 0 --trials 10 --seed 1",
-                     "N must be at least 1, got 0", id="volume-angular-n0"),
+        pytest.param("volume global --d0 0 --d1star 2 --n 4 --trials 10 --seed 1",
+                     "d0 must be at least 1, got 0", id="volume-global-d0-0"),
         # 14 values a trial, so 8192 // 14 = 585 trials a block
         pytest.param(f"volume orthant --n 4 --m 2 --l 3 --trials {BIG} --seed 2",
                      f"trials must be at most {585 << 64} (2^64 blocks of 585), got {BIG}",
@@ -660,7 +691,10 @@ class TestBoundsCommands:
         assert "exceed 1" in capsys.readouterr().err
 
     def test_beta_requires_matching_argument(self, capsys):
-        assert run_cli("bounds", "beta", "--d0", "3", "--which", "lower") == 1
+        for kind, flag in (("beta-lower", "--angle"), ("beta-upper", "--u")):
+            assert run_cli("bounds", kind, "--d0", "3") == 1
+            err = capsys.readouterr().err
+            assert err == f"error: the following arguments are required: {flag}\n"
 
     def test_gamma_eps(self, capsys):
         rc = run_cli("bounds", "gamma-eps", "--epsilon", "0.1", "--rho", "0.0")
@@ -706,21 +740,34 @@ class TestPinnedKindOutputs:
         out = tmp_path / "record.json"
         assert run_cli(*argv.split(), "--out", str(out)) == 0
         record = json.load(open(out))
-        group, kind = argv.split()[:2]
-        assert record["command"] == f"{group} {kind}"
-        assert record["config"]["command"] == group
-        assert record["config"][f"{group}_kind"] == kind
+        assert record["command"] == " ".join(argv.split()[:2])
         assert record["outputs"] == expected
 
 
-def argv_from_config(config):
-    """The argv a flag-recording command's config describes: command, kind, then every flag."""
-    command = config["command"]
-    argv = [command] + ([config[f"{command}_kind"]] if f"{command}_kind" in config else [])
+def argv_from_config(command, config):
+    """The argv an argv command's record describes: its command, then every recorded input."""
+    argv = command.split()
     for key, value in config.items():
-        if key != "command" and not key.endswith("_kind"):
-            argv += ["--" + key.replace("_", "-"), str(value)]
+        argv += ["--" + key.replace("_", "-"), str(value)]
     return argv
+
+
+def handler_of(command):
+    """The handler that runs a recorded command, such as "volume orthant" or "construct"."""
+    group, _, kind = command.partition(" ")
+    if kind:
+        return {"volume": cli.VOLUME, "bounds": cli.BOUNDS}[group][kind]
+    return getattr(cli, group.replace("-", "_"))
+
+
+ARGV_RECORDS = [
+    "construct --d0 6 --n 30 --data-seed 2 --seed 3",
+    "construct --d0 4 --n 12 --rho 0.25 --target-d1 40",
+    "construct --d0 3 --n 8 --data-seed 5",
+    "rank-oracle --d0 3 --d1 4 --n 9 --seed 12",
+    "rank-oracle --d0 2 --d1 3 --n 7 --rho -0.5",
+    *(argv for argv, _ in PINNED_KIND_OUTPUTS),
+]
 
 
 class TestArgvRecords:
@@ -729,7 +776,7 @@ class TestArgvRecords:
                      {"d0": 6, "n": 30, "data_seed": 2, "seed": 3, "rho": 0.0},
                      id="construct-synthetic"),
         pytest.param("construct --d0 4 --n 12 --rho 0.25 --target-d1 40",
-                     {"d0": 4, "n": 12, "data_seed": 0, "seed": 0, "rho": 0.25, "target_d1": 40},
+                     {"d0": 4, "n": 12, "seed": 0, "rho": 0.25, "target_d1": 40},
                      id="construct-padded"),
         pytest.param("rank-oracle --d0 3 --d1 4 --n 9 --seed 12",
                      {"d0": 3, "d1": 4, "n": 9, "rho": 0.5, "seed": 12},
@@ -740,7 +787,7 @@ class TestArgvRecords:
         assert run_cli(*argv.split(), "--out", str(out)) == 0
         record = json.load(open(out))
         assert record["command"] == argv.split()[0]
-        assert record["config"] == {"command": argv.split()[0], **flags}
+        assert record["config"] == flags
         assert record["seed"] == flags["seed"]
 
     def test_construct_from_csv_records_its_path(self, tmp_path, capsys):
@@ -749,31 +796,34 @@ class TestArgvRecords:
         out = tmp_path / "record.json"
         assert run_cli("construct", "--data", str(csv_path), "--seed", "4", "--out", str(out)) == 0
         record = json.load(open(out))
-        assert record["config"] == {"command": "construct", "data": str(csv_path),
-                                    "data_seed": 0, "rho": 0.0, "seed": 4}
+        assert record["config"] == {"data": str(csv_path), "rho": 0.0, "seed": 4}
         replay = tmp_path / "replay.json"
-        assert run_cli(*argv_from_config(record["config"]), "--out", str(replay)) == 0
+        assert run_cli(*argv_from_config(record["command"], record["config"]),
+                       "--out", str(replay)) == 0
         assert json.dumps(outputs_of(replay)) == json.dumps(record["outputs"])
 
-    @pytest.mark.parametrize("argv", [
-        "construct --d0 6 --n 30 --data-seed 2 --seed 3",
-        "construct --d0 4 --n 12 --rho 0.25 --target-d1 40",
-        "construct --d0 3 --n 8 --data-seed 5",
-        "rank-oracle --d0 3 --d1 4 --n 9 --seed 12",
-        "rank-oracle --d0 2 --d1 3 --n 7 --rho -0.5",
-        *(argv for argv, _ in PINNED_KIND_OUTPUTS),
-    ])
+    @pytest.mark.parametrize("argv", ARGV_RECORDS)
     def test_rerun_from_config_reproduces_outputs(self, tmp_path, capsys, argv):
         first = tmp_path / "first.json"
         assert run_cli(*argv.split(), "--out", str(first)) == 0
         printed = capsys.readouterr().out
         record = json.load(open(first))
         replay = tmp_path / "replay.json"
-        assert run_cli(*argv_from_config(record["config"]), "--out", str(replay)) == 0
+        assert run_cli(*argv_from_config(record["command"], record["config"]),
+                       "--out", str(replay)) == 0
         assert capsys.readouterr().out == printed
         replayed = json.load(open(replay))
         assert replayed["config"] == record["config"]
         assert json.dumps(replayed["outputs"]) == json.dumps(record["outputs"])
+
+    @pytest.mark.parametrize("argv", ARGV_RECORDS)
+    def test_record_replays_through_its_handler(self, tmp_path, capsys, argv):
+        out = tmp_path / "record.json"
+        assert run_cli(*argv.split(), "--out", str(out)) == 0
+        record = json.load(open(out))
+        assert not [key for key in record["config"] if key == "command" or key.endswith("_kind")]
+        outputs = cli._call(handler_of(record["command"]), record["config"], "record")
+        assert json.dumps(outputs) == json.dumps(record["outputs"])
 
 
 class TestJsonRecords:

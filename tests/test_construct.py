@@ -183,6 +183,15 @@ class TestBuildGlobalMinimum:
         np.testing.assert_array_equal(a.params.W, b.params.W)
         np.testing.assert_array_equal(a.params.z, b.params.z)
 
+    def test_seedless_build_is_the_seed_zero_build(self):
+        # the padding rows come from the generator, so an entropy-seeded build differs per call
+        data = gen_gaussian_dataset(5, 12, 3)
+        a = build_global_minimum(data, rho=0.0, target_d1=20)
+        b = build_global_minimum(data, rho=0.0, target_d1=20)
+        c = build_global_minimum(data, rho=0.0, target_d1=20, seed=0)
+        np.testing.assert_array_equal(a.params.W, b.params.W)
+        np.testing.assert_array_equal(a.params.W, c.params.W)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e160, 1e200, 1e250])
     def test_huge_outside_sample_builds(self, scale):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from landscape import bounds, construct, stationarity, volume
-from landscape.errors import DomainError, require_at_least
+from landscape.errors import DomainError, NonFinite, require_at_least
 from landscape.network import Dataset
 from landscape.train import TrainConfig, dlm_diagnostic, he_init, scan_overparam
 
@@ -12,6 +12,13 @@ def test_first_count_below_the_floor_is_named():
     with pytest.raises(DomainError) as info:
         require_at_least(2, a=2, b=1, c=0)
     assert str(info.value) == "b must be at least 2, got 1"
+
+
+def test_non_finite_names_its_epoch():
+    error = NonFinite(7)
+    assert error.epoch == 7 and str(error) == "loss became non-finite at epoch 7"
+    with pytest.raises(TypeError):
+        NonFinite(7, "custom text")
 
 
 # every minimum-count check of the package: the call and its exact message
