@@ -26,9 +26,11 @@ def write_dataset_csv(path, data):
 # Outputs objects recorded with the if/elif dispatcher these handlers replaced;
 # the volume entries are recorded under the per-block Monte Carlo streams, and
 # coherence under its triangular-factor draw.  The first volume global estimate
-# equals, bit for bit, that of the activation-pattern region of the same draws.
+# equals, bit for bit, that of the activation-pattern region of the same draws;
+# its argv leads with --pattern-seed so that its test id, cut to its first
+# characters in a report, differs from the second's.
 PINNED_KIND_OUTPUTS = [
-    ("volume global --d0 3 --d1star 2 --n 4 --pattern-seed 3 --trials 3000 --seed 4",
+    ("volume global --pattern-seed 3 --d0 3 --d1star 2 --n 4 --trials 3000 --seed 4",
      {"bound": {"asymptotic_log": -19.845811742457972,
                 "exact": 4.4873401329021087e-07,
                 "log": -14.616835522758539,
@@ -501,6 +503,8 @@ class TestExitCodes:
                      "N must be at least 1, got 0", id="volume-global-n0"),
         pytest.param("volume global --d0 0 --d1star 2 --n 4 --trials 10 --seed 1",
                      "d0 must be at least 1, got 0", id="volume-global-d0-0"),
+        pytest.param("volume global --d0 3 --d1star 2 --n 0 --pattern-seed 3 --trials 10 --seed 1",
+                     "N must be at least 1, got 0", id="volume-global-n0-pattern-seed"),
         # 14 values a trial, so 8192 // 14 = 585 trials a block
         pytest.param(f"volume orthant --n 4 --m 2 --l 3 --trials {BIG} --seed 2",
                      f"trials must be at most {585 << 64} (2^64 blocks of 585), got {BIG}",
